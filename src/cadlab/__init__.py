@@ -28,4 +28,20 @@ from .realroots import (
 )
 from .smtlib import parse_smtlib
 
+__all__ = [
+    "CADTree", "build_cad", "evaluate_formula_on_cells", "open_cad_fulldim",
+    "Atom", "BoolOp", "Const", "Formula",
+    "MonomialOrder", "buchberger", "normal_form",
+    "brown_order", "gb_precondition_decision", "ml_features", "order_by_fulldim",
+    "order_by_ndrr", "order_by_sotd", "sotd_value", "tnoi",
+    "QuantifierBlock", "VarOrdering", "admissible_orderings",
+    "Poly", "degree_stats", "discriminant", "resultant", "squarefree_primitive_basis",
+    "emit_json", "parse_json",
+    "Problem",
+    "mccallum_project", "projection_levels", "reduced_ec_project",
+    "RandomProfile", "random_problems",
+    "AlgebraicNumber", "compare", "count_distinct_real_roots", "isolate_real_roots", "refine",
+    "parse_smtlib",
+]
+
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ and seed regardless of the worker count (timing columns are blanked by the
 from __future__ import annotations
 
 import csv
-import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,14 +18,16 @@ from pathlib import Path
 from typing import Callable
 
 from .cadbuild import build_cad
-from .errors import CadError, ComputeTimeout, Deadline, NotWellOrientedError, ParseError
-from .heuristics import (
-    brown_order,
-    order_by_fulldim,
-    order_by_ndrr,
-    order_by_sotd,
+from .errors import (
+    CadError,
+    ComputeTimeout,
+    Deadline,
+    NotWellOrientedError,
+    ParseError,
+    scoped_deadline,
 )
-from .ordering import admissible_orderings
+from .heuristics import ORDERING_HEURISTICS
+from .ordering import VarOrdering, admissible_orderings
 from .probjson import parse_json
 from .problem import Problem
 from .smtlib import parse_smtlib
@@ -34,7 +35,7 @@ from .smtlib import parse_smtlib
 __all__ = ["BenchConfig", "BenchRow", "BenchReport", "run_bench", "write_csv", "write_json",
            "load_problem_file", "HEURISTIC_NAMES"]
 
-HEURISTIC_NAMES = ("brown", "sotd", "greedy-sotd", "ndrr", "fulldim")
+HEURISTIC_NAMES = tuple(ORDERING_HEURISTICS)
 
 CSV_COLUMNS = (
     "problem",
@@ -72,6 +73,7 @@ class BenchRow:
     fulldim_cells: int | None
     time_ms: float | None
     status: str
+    error: str | None = None  # "<Class>: <message>" of an error row; JSON report only
 
     def sort_key(self):
         return (self.problem, self.heuristic, self.ordering, self.designation, self.mode)
@@ -89,6 +91,12 @@ class BenchRow:
             "status": self.status,
         }
 
+    def as_json_record(self, stable: bool) -> dict:
+        record = self.as_record(stable)
+        if self.error:
+            record["error"] = self.error
+        return record
+
 
 @dataclass
 class BenchReport:
@@ -103,85 +111,43 @@ def load_problem_file(path: Path) -> Problem:
     return parse_json(text, name=path.stem)
 
 
-def _ordering_heuristic(name: str) -> Callable:
-    if name == "brown":
-        return lambda polys, nv, blocks, dl: brown_order(polys, nv, blocks)
-    if name == "sotd":
-        return lambda polys, nv, blocks, dl: order_by_sotd(
-            polys, nv, blocks, strategy="exhaustive", deadline=dl
-        )
-    if name == "greedy-sotd":
-        return lambda polys, nv, blocks, dl: order_by_sotd(
-            polys, nv, blocks, strategy="greedy", deadline=dl
-        )
-    if name == "ndrr":
-        return lambda polys, nv, blocks, dl: order_by_ndrr(polys, nv, blocks, deadline=dl)
-    if name == "fulldim":
-        return lambda polys, nv, blocks, dl: order_by_fulldim(polys, nv, blocks, deadline=dl)
-    raise ValueError(f"unknown heuristic {name!r}")
+def _cause(e: BaseException) -> str:
+    return f"{type(e).__name__}: {e}"
 
 
-def _run_task(problem: Problem, heuristic: str, config: BenchConfig) -> BenchRow:
+def _run_task(
+    problem: Problem, config: BenchConfig, heuristic: str, ordering: VarOrdering | None = None
+) -> BenchRow:
+    """One row: the CAD under the ordering ``heuristic`` chooses, or under ``ordering``.
+
+    The whole task runs under one deadline.  A given ordering is always built;
+    a failure becomes the row's status.
+    """
+    build = config.build or ordering is not None
+    row = BenchRow(problem.name, heuristic, "-", "-", config.mode, None, None, None, "ok")
     deadline = Deadline.after_ms(config.timeout_ms) if config.timeout_ms else None
     start = time.monotonic()
-    ordering_label = "-"
-    designation = "-"
     try:
-        polys = problem.input_polys()
-        if not polys:
-            raise CadError("no nonconstant polynomials")
-        chooser = _ordering_heuristic(heuristic)
-        report = chooser(polys, problem.nvars, list(problem.blocks), deadline)
-        ordering = report.chosen
-        ordering_label = ordering.to_names(problem.var_names)
-        cells = None
-        fulldim = None
-        if config.build:
-            tree = build_cad(problem, ordering, mode=config.mode, deadline=deadline)
-            cells = tree.cell_count
-            fulldim = tree.fulldim_leaf_count()
-            designation = tree.designation_label
-        elapsed = (time.monotonic() - start) * 1000.0
-        return BenchRow(
-            problem.name, heuristic, ordering_label, designation, config.mode,
-            cells, fulldim, elapsed, "ok",
-        )
+        with scoped_deadline(deadline):
+            if ordering is None:
+                polys = problem.input_polys()
+                if not polys:
+                    raise CadError("no nonconstant polynomials")
+                chooser = ORDERING_HEURISTICS[heuristic]
+                ordering = chooser(polys, problem.nvars, list(problem.blocks)).chosen
+            row.ordering = ordering.to_names(problem.var_names)
+            if build:
+                tree = build_cad(problem, ordering, mode=config.mode)
+                row.cells, row.fulldim_cells = tree.cell_count, tree.fulldim_leaf_count()
+                row.designation = tree.designation_label
+        row.time_ms = (time.monotonic() - start) * 1000.0
     except ComputeTimeout:
-        return BenchRow(
-            problem.name, heuristic, ordering_label, designation, config.mode,
-            None, None, None, "timeout",
-        )
+        row.status = "timeout"
     except NotWellOrientedError:
-        return BenchRow(
-            problem.name, heuristic, ordering_label, designation, config.mode,
-            None, None, None, "not_well_oriented",
-        )
-    except Exception:
-        return BenchRow(
-            problem.name, heuristic, ordering_label, designation, config.mode,
-            None, None, None, "error",
-        )
-
-
-def _run_order_task(problem: Problem, ordering, config: BenchConfig) -> BenchRow:
-    deadline = Deadline.after_ms(config.timeout_ms) if config.timeout_ms else None
-    start = time.monotonic()
-    label = ordering.to_names(problem.var_names)
-    try:
-        tree = build_cad(problem, ordering, mode=config.mode, deadline=deadline)
-        elapsed = (time.monotonic() - start) * 1000.0
-        return BenchRow(
-            problem.name, "order", label, tree.designation_label, config.mode,
-            tree.cell_count, tree.fulldim_leaf_count(), elapsed, "ok",
-        )
-    except ComputeTimeout:
-        return BenchRow(problem.name, "order", label, "-", config.mode, None, None, None, "timeout")
-    except NotWellOrientedError:
-        return BenchRow(
-            problem.name, "order", label, "-", config.mode, None, None, None, "not_well_oriented"
-        )
-    except Exception:
-        return BenchRow(problem.name, "order", label, "-", config.mode, None, None, None, "error")
+        row.status = "not_well_oriented"
+    except Exception as e:
+        row.status, row.error = "error", _cause(e)
+    return row
 
 
 def run_bench(corpus: Path | str, config: BenchConfig) -> BenchReport:
@@ -196,26 +162,21 @@ def run_bench(corpus: Path | str, config: BenchConfig) -> BenchReport:
     for path in files:
         try:
             problem = load_problem_file(path)
-        except (ParseError, OSError):
-            report.rows.append(
-                BenchRow(path.stem, "-", "-", "-", config.mode, None, None, None, "error")
-            )
+        except (ParseError, OSError) as e:
+            report.rows.append(BenchRow(path.stem, "-", "-", "-", config.mode,
+                                        None, None, None, "error", _cause(e)))
             continue
         if config.all_orders:
             try:
                 orderings = admissible_orderings(problem.nvars, problem.blocks)
-            except CadError:
-                report.rows.append(
-                    BenchRow(problem.name, "order", "-", "-", config.mode,
-                             None, None, None, "error")
-                )
+            except CadError as e:
+                report.rows.append(BenchRow(problem.name, "order", "-", "-", config.mode,
+                                            None, None, None, "error", _cause(e)))
                 continue
             for ordering in orderings:
-                tasks.append(
-                    lambda p=problem, o=ordering: _run_order_task(p, o, config)
-                )
+                tasks.append(lambda p=problem, o=ordering: _run_task(p, config, "order", o))
         for heuristic in config.heuristics:
-            tasks.append(lambda p=problem, h=heuristic: _run_task(p, h, config))
+            tasks.append(lambda p=problem, h=heuristic: _run_task(p, config, h))
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             report.rows.extend(pool.map(lambda t: t(), tasks))
@@ -232,13 +193,8 @@ def write_csv(report: BenchReport, out) -> None:
         writer.writerow(row.as_record(report.config.stable))
 
 
-def csv_text(report: BenchReport) -> str:
-    buf = io.StringIO()
-    write_csv(report, buf)
-    return buf.getvalue()
-
-
 def write_json(report: BenchReport, out) -> None:
+    """The CSV rows plus the run configuration; error rows also carry their cause."""
     doc = {
         "config": {
             "heuristics": list(report.config.heuristics),
@@ -250,7 +206,7 @@ def write_json(report: BenchReport, out) -> None:
             "seed": report.config.seed,
             "stable": report.config.stable,
         },
-        "rows": [row.as_record(report.config.stable) for row in report.rows],
+        "rows": [row.as_json_record(report.config.stable) for row in report.rows],
     }
     json.dump(doc, out, indent=2)
     out.write("\n")

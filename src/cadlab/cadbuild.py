@@ -14,15 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .algpoints import Nullified, roots_above, sign_at_point
-from .errors import Deadline, NotWellOrientedError, scoped_deadline
+from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
 from .formulas import Formula, atom_polys, evaluate_signs
 from .ordering import VarOrdering
-from .polys import Poly
+from .polys import Poly, distinct_normalized
 from .projection import ProjectionLevels, projection_levels
-from .realroots import AlgebraicNumber, compare, isolate_real_roots, merge_distinct
+from .realroots import (
+    AlgebraicNumber,
+    _make_disjoint,
+    compare,
+    isolate_real_roots,
+    merge_distinct,
+)
 
 __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_fulldim",
            "evaluate_formula_on_cells"]
@@ -73,11 +80,7 @@ def sector_points(roots: Sequence[AlgebraicNumber]) -> list[Fraction]:
     return out
 
 
-def build_stack(
-    base: Cell,
-    polys: Sequence[Poly],
-    deadline: Deadline | None = None,
-) -> Stack:
+def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
     """Split the line above ``base`` on the real roots of ``polys``.
 
     The lift variable is the next coordinate after the base sample.  Raises
@@ -89,8 +92,7 @@ def build_stack(
     sections: list[tuple[AlgebraicNumber, set[int]]] = []
     nullified: set[int] = set()
     for idx, p in enumerate(polys):
-        if deadline:
-            deadline.check()
+        checkpoint()
         if p.is_zero():
             raise ValueError("zero polynomial in lifting set")
         if not p.contains_var(v):
@@ -106,8 +108,9 @@ def build_stack(
                     f"positive-dimensional cell {base.index}"
                 )
             nullified.add(idx)
-    sections.sort(key=_RootKey)
-    roots = _disjoint([r for r, _ in sections])
+    by_value = cmp_to_key(compare)
+    sections.sort(key=lambda s: by_value(s[0]))
+    roots = _make_disjoint([r for r, _ in sections])
     samples = sector_points(roots)
     cells: list[Cell] = []
     for i, root in enumerate(roots):
@@ -128,16 +131,6 @@ def build_stack(
     return Stack(base, cells)
 
 
-class _RootKey:
-    __slots__ = ("r",)
-
-    def __init__(self, item):
-        self.r = item[0]
-
-    def __lt__(self, other) -> bool:
-        return compare(self.r, other.r) < 0
-
-
 def _insert_root(sections: list[tuple[AlgebraicNumber, set[int]]], root, idx) -> None:
     for i, (r, owners) in enumerate(sections):
         if compare(r, root) == 0:
@@ -146,15 +139,6 @@ def _insert_root(sections: list[tuple[AlgebraicNumber, set[int]]], root, idx) ->
                 sections[i] = (root, owners)
             return
     sections.append((root, {idx}))
-
-
-def _disjoint(roots: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
-    out = list(roots)
-    for i in range(len(out) - 1):
-        while out[i].hi > out[i + 1].lo:
-            out[i] = out[i].refine_step()
-            out[i + 1] = out[i + 1].refine_step()
-    return out
 
 
 @dataclass
@@ -194,19 +178,14 @@ class CADTree:
             sizes[cell.index[:-1]] = sizes.get(cell.index[:-1], 0) + 1
         return [sizes[c.index] for c in self.levels[-2]]
 
-    def ensure_signs(self, deadline: Deadline | None = None) -> None:
+    def ensure_signs(self) -> None:
         """Populate leaf signs for every input polynomial at the leaf samples."""
-        with scoped_deadline(deadline):
-            self._ensure_signs(deadline)
-
-    def _ensure_signs(self, deadline: Deadline | None = None) -> None:
         for leaf in self.levels[-1]:
             if leaf.signs is not None:
                 continue
             signs = []
             for j, p in enumerate(self._relabeled_inputs):
-                if deadline:
-                    deadline.check()
+                checkpoint()
                 if j in leaf.zero_polys:
                     signs.append(0)
                 else:
@@ -239,19 +218,8 @@ def build_cad(
     """
     if mode not in ("sign", "ec"):
         raise ValueError(f"unknown CAD mode {mode!r}")
-    with scoped_deadline(deadline):
-        return _build_cad(source, ordering, mode, designation, deadline)
-
-
-def _build_cad(source, ordering, mode, designation, deadline):
     polys, formula = _input_list(source)
-    seen: dict = {}
-    for p in polys:
-        if p.is_zero() or p.is_constant():
-            continue
-        q = p.normalized()
-        seen.setdefault(tuple(sorted(q.terms.items())), q)
-    inputs = list(seen.values())
+    inputs = distinct_normalized(polys)
     if not inputs:
         raise ValueError("no nonconstant input polynomials")
     n = ordering.nvars
@@ -260,61 +228,43 @@ def _build_cad(source, ordering, mode, designation, deadline):
     identity = VarOrdering(tuple(range(n)))
     designations: dict[int, Poly] = {}
     label = "-"
-    if mode == "ec":
-        designations, label = _choose_designation(
-            relabeled, formula, perm, identity, designation
-        )
-    levels = projection_levels(relabeled, identity, designations=designations,
-                               deadline=deadline)
-    root = Cell((), ())
-    current = [root]
-    tree_levels: list[list[Cell]] = []
-    for k in range(1, n + 1):
-        if k == n:
-            if mode == "ec" and n in designations:
-                stack_polys = [designations[n]]
-            else:
-                stack_polys = list(relabeled)
-        else:
-            stack_polys = [p for p in levels.level(k)]
-            if mode == "ec" and k in designations and k >= 2:
+    with scoped_deadline(deadline):
+        if mode == "ec":
+            designations, label = _choose_designation(
+                relabeled, formula, perm, identity, designation
+            )
+        levels = projection_levels(relabeled, identity, designations=designations)
+        current = [Cell((), ())]
+        tree_levels: list[list[Cell]] = []
+        for k in range(1, n + 1):
+            # a designated level (EC mode only) lifts over its designated EC alone
+            if k == n:
+                stack_polys = [designations[n]] if n in designations else list(relabeled)
+            elif k in designations and k >= 2:
                 stack_polys = [designations[k]]
-        next_cells: list[Cell] = []
-        for base in current:
-            if deadline:
-                deadline.check()
-            stack = build_stack(base, stack_polys, deadline=deadline)
-            next_cells.extend(stack.cells)
-        if k == n:
-            # zero_polys indices refer to stack_polys; leaf signs index inputs
-            translation = _stack_to_input_indices(stack_polys, relabeled)
-            for cell in next_cells:
-                cell.zero_polys = frozenset(
-                    translation[j] for j in cell.zero_polys if j in translation
-                )
-        tree_levels.append(next_cells)
-        current = next_cells
-    tree = CADTree(
-        ordering,
-        tuple(inputs),
-        tree_levels,
-        levels,
-        mode,
-        designation_label=label,
-        _relabeled_inputs=tuple(p.permute_vars(perm) for p in inputs),
-    )
-    return tree
+            else:
+                stack_polys = list(levels.level(k))
+            next_cells: list[Cell] = []
+            for base in current:
+                checkpoint()
+                next_cells.extend(build_stack(base, stack_polys).cells)
+            tree_levels.append(next_cells)
+            current = next_cells
+    # zero_polys indices refer to the top stack polynomials; leaf signs index inputs
+    translation = _stack_to_input_indices(stack_polys, relabeled)
+    for cell in current:
+        cell.zero_polys = frozenset(translation[j] for j in cell.zero_polys if j in translation)
+    return CADTree(ordering, tuple(inputs), tree_levels, levels, mode,
+                   designation_label=label, _relabeled_inputs=tuple(relabeled))
 
 
 def _stack_to_input_indices(stack_polys: Sequence[Poly], inputs: Sequence[Poly]) -> dict[int, int]:
-    input_keys = {
-        tuple(sorted(p.normalized().terms.items())): i for i, p in enumerate(inputs)
-    }
+    index_of = {p.normalized(): i for i, p in enumerate(inputs)}
     out: dict[int, int] = {}
     for j, sp in enumerate(stack_polys):
-        key = tuple(sorted(sp.normalized().terms.items()))
-        if key in input_keys:
-            out[j] = input_keys[key]
+        i = index_of.get(sp.normalized())
+        if i is not None:
+            out[j] = i
     return out
 
 
@@ -380,33 +330,20 @@ def _label(mapping: dict[int, Poly], n: int) -> str:
     return ";".join(f"L{k}" for k in sorted(mapping))
 
 
-def open_cad_fulldim(
-    A: Iterable[Poly],
-    ordering: VarOrdering,
-    deadline: Deadline | None = None,
-) -> int:
+def open_cad_fulldim(A: Iterable[Poly], ordering: VarOrdering) -> int:
     """Number of full-dimensional cells: sectors-only recursion, rational samples."""
-    with scoped_deadline(deadline):
-        return _open_cad_fulldim(A, ordering, deadline)
-
-
-def _open_cad_fulldim(A, ordering, deadline):
-    inputs = [p for p in A if not p.is_zero() and not p.is_constant()]
-    if not inputs:
+    relabeled = [p.permute_vars(ordering.order) for p in A if not p.is_constant()]
+    if not relabeled:
         return 1
     n = ordering.nvars
-    perm = ordering.order
-    relabeled = [p.permute_vars(perm).normalized() for p in inputs]
-    identity = VarOrdering(tuple(range(n)))
-    levels = projection_levels(relabeled, identity, deadline=deadline)
+    levels = projection_levels(relabeled, VarOrdering(tuple(range(n))))
     samples: list[tuple[Fraction, ...]] = [()]
     for k in range(1, n + 1):
         polys_k = levels.level(k)
         v = k - 1
         next_samples: list[tuple[Fraction, ...]] = []
         for s in samples:
-            if deadline:
-                deadline.check()
+            checkpoint()
             assign = dict(enumerate(s))
             roots = []
             for p in polys_k:
@@ -428,17 +365,12 @@ def evaluate_formula_on_cells(
 
     The formula's polynomials must be among the tree's input set.
     """
-    polys = atom_polys(formula)
-    keys = {tuple(sorted(p.terms.items())) for p in tree.input_polys}
-    for p in polys:
-        if tuple(sorted(p.terms.items())) not in keys:
-            raise ValueError("formula polynomial not in the tree's input set")
-    tree.ensure_signs(deadline=deadline)
-    index_of = {
-        tuple(sorted(p.terms.items())): i for i, p in enumerate(tree.input_polys)
-    }
-    truths: list[bool] = []
-    for leaf in tree.leaves():
-        sign_of = {k: leaf.signs[i] for k, i in index_of.items()}
-        truths.append(evaluate_signs(formula, sign_of))
+    if not set(tree.input_polys).issuperset(atom_polys(formula)):
+        raise ValueError("formula polynomial not in the tree's input set")
+    with scoped_deadline(deadline):
+        tree.ensure_signs()
+    truths = [
+        evaluate_signs(formula, dict(zip(tree.input_polys, leaf.signs)))
+        for leaf in tree.leaves()
+    ]
     return truths, sum(truths)

@@ -23,13 +23,7 @@ from .cadbuild import build_cad, evaluate_formula_on_cells
 from .errors import CadError, ParseError
 from .formulas import identify_ecs
 from .groebner import MonomialOrder
-from .heuristics import (
-    brown_order,
-    gb_precondition_decision,
-    order_by_fulldim,
-    order_by_ndrr,
-    order_by_sotd,
-)
+from .heuristics import ORDERING_HEURISTICS, gb_precondition_decision
 from .ordering import VarOrdering, admissible_orderings
 from .probjson import emit_json
 from .problem import Problem
@@ -146,16 +140,7 @@ def _cmd_analyze(args) -> int:
     names = problem.var_names
     wanted = HEURISTIC_NAMES if args.heuristic == "all" else (args.heuristic,)
     for h in wanted:
-        if h == "brown":
-            rep = brown_order(polys, problem.nvars, problem.blocks)
-        elif h == "sotd":
-            rep = order_by_sotd(polys, problem.nvars, problem.blocks, strategy="exhaustive")
-        elif h == "greedy-sotd":
-            rep = order_by_sotd(polys, problem.nvars, problem.blocks, strategy="greedy")
-        elif h == "ndrr":
-            rep = order_by_ndrr(polys, problem.nvars, problem.blocks)
-        else:
-            rep = order_by_fulldim(polys, problem.nvars, problem.blocks)
+        rep = ORDERING_HEURISTICS[h](polys, problem.nvars, problem.blocks)
         print(f"{h}: {rep.chosen.to_names(names)}")
         for label, score in rep.scores:
             print(f"  {label}: {score}")

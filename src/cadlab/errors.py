@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import threading
+import time
+
 __all__ = [
     "CadError",
     "ParseError",
@@ -60,20 +64,13 @@ class Deadline:
         self.expires_at = expires_at
 
     @classmethod
-    def after_ms(cls, ms: float) -> "Deadline":
-        import time
-
+    def after_ms(cls, ms: float) -> Deadline:
         return cls(time.monotonic() + ms / 1000.0)
 
     def check(self) -> None:
-        import time
-
         if time.monotonic() > self.expires_at:
             raise ComputeTimeout("computation exceeded its time budget")
 
-
-import contextlib
-import threading
 
 _ACTIVE = threading.local()
 
@@ -86,7 +83,7 @@ def checkpoint() -> None:
 
 
 @contextlib.contextmanager
-def scoped_deadline(deadline: "Deadline | None"):
+def scoped_deadline(deadline: Deadline | None):
     """Make a deadline visible to checkpoint() for the current thread."""
     if deadline is None:
         yield

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DesignationCapError
 from .ordering import VarOrdering
-from .polys import Poly, resultant, squarefree_part
-from .projection import projection_levels, _sort_key
+from .polys import Poly, _poly_sort_key, distinct_normalized, resultant, squarefree_part
+from .projection import projection_levels
 from .realroots import count_distinct_real_roots
 
 __all__ = [
@@ -130,31 +130,30 @@ def _nnf(f: Formula, negate: bool) -> Formula:
 
 def atom_polys(f: Formula) -> list[Poly]:
     """Normalized polynomials of the formula's atoms, deduplicated, stable order."""
-    seen: dict = {}
+    seen: dict[Poly, None] = {}
 
     def walk(node: Formula) -> None:
         if isinstance(node, Atom):
-            p = node.canonical().poly
-            seen.setdefault(tuple(sorted(p.terms.items())), p)
+            seen[node.canonical().poly] = None
         elif isinstance(node, BoolOp):
             for a in node.args:
                 walk(a)
 
     walk(f)
-    return list(seen.values())
+    return list(seen)
 
 
-def evaluate_signs(f: Formula, sign_of: Mapping[tuple, int]) -> bool:
+def evaluate_signs(f: Formula, sign_of: Mapping[Poly, int]) -> bool:
     """Truth of the (quantifier-free) formula given atom polynomial signs.
 
-    ``sign_of`` maps the canonical term key of each atom polynomial to its
-    sign at the point in question.
+    ``sign_of`` maps each normalized atom polynomial to its sign at the point
+    in question.
     """
     if isinstance(f, Const):
         return f.value
     if isinstance(f, Atom):
         a = f.canonical()
-        return a.holds_for_sign(sign_of[tuple(sorted(a.poly.terms.items()))])
+        return a.holds_for_sign(sign_of[a.poly])
     assert isinstance(f, BoolOp)
     if f.op == "not":
         return not evaluate_signs(f.args[0], sign_of)
@@ -170,13 +169,10 @@ def identify_ecs(f: Formula) -> list[Poly]:
     of the normalized formula.  Purely syntactic; ECs hidden behind products in
     disjunctions are not inferred.
     """
-    n = normalize(f)
 
-    def walk(node: Formula) -> set[tuple]:
+    def walk(node: Formula) -> set[Poly]:
         if isinstance(node, Atom):
-            if node.rel == "=":
-                return {tuple(sorted(node.poly.terms.items()))}
-            return set()
+            return {node.poly} if node.rel == "=" else set()
         if isinstance(node, Const):
             return set()
         assert isinstance(node, BoolOp)
@@ -188,17 +184,12 @@ def identify_ecs(f: Formula) -> list[Poly]:
             out = out & s
         return out
 
-    keys = walk(n)
-    by_key = {tuple(sorted(p.terms.items())): p for p in atom_polys(n)}
-    return sorted((by_key[k] for k in keys), key=_sort_key)
+    return sorted(walk(normalize(f)), key=_poly_sort_key)
 
 
-def _main_var(p: Poly, ordering: VarOrdering) -> int | None:
-    """Level of the ordering-highest variable present in p, or None for constants."""
-    vs = p.variables()
-    if not vs:
-        return None
-    return max(ordering.level_of(v) for v in vs)
+def _main_var(p: Poly, ordering: VarOrdering) -> int:
+    """Level of the ordering-highest variable present in the nonconstant p."""
+    return max(ordering.level_of(v) for v in p.variables())
 
 
 def propagate_ecs(E: Iterable[Poly], ordering: VarOrdering) -> list[list[Poly]]:
@@ -208,18 +199,16 @@ def propagate_ecs(E: Iterable[Poly], ordering: VarOrdering) -> list[list[Poly]]:
     each level below adds the pairwise resultants of the level above,
     square-freed and normalized, constants dropped.
     """
-    E = [p.normalized() for p in E if not p.is_zero() and not p.is_constant()]
+    E = distinct_normalized(E)
     if not E:
         raise ValueError("no equational constraints to propagate")
     n = ordering.nvars
-    levels: list[dict] = [dict() for _ in range(n)]
+    levels: list[dict[Poly, None]] = [{} for _ in range(n)]
     for p in E:
-        lvl = _main_var(p, ordering)
-        if lvl is not None:
-            levels[lvl - 1].setdefault(tuple(sorted(p.terms.items())), p)
+        levels[_main_var(p, ordering) - 1][p] = None
     for k in range(n, 1, -1):
         v = ordering.var_at_level(k)
-        above = list(levels[k - 1].values())
+        above = list(levels[k - 1])
         for i, a in enumerate(above):
             for b in above[i + 1 :]:
                 if not (a.contains_var(v) and b.contains_var(v)):
@@ -231,10 +220,8 @@ def propagate_ecs(E: Iterable[Poly], ordering: VarOrdering) -> list[list[Poly]]:
                 r = squarefree_part(r, vs[-1]).normalized()
                 if r.is_constant():
                     continue
-                lvl = _main_var(r, ordering)
-                if lvl is not None:
-                    levels[lvl - 1].setdefault(tuple(sorted(r.terms.items())), r)
-    return [sorted(d.values(), key=_sort_key) for d in levels]
+                levels[_main_var(r, ordering) - 1][r] = None
+    return [sorted(d, key=_poly_sort_key) for d in levels]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ variable first, which makes a full tie come out as the declared order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cadbuild import open_cad_fulldim
-from .errors import Deadline
+from .errors import Deadline, checkpoint, scoped_deadline
 from .groebner import MonomialOrder, buchberger
 from .ordering import QuantifierBlock, VarOrdering, admissible_orderings, ordering_segments
 from .polys import Poly, degree_stats
@@ -23,6 +23,7 @@ from .realroots import count_distinct_real_roots
 
 __all__ = [
     "HeuristicReport",
+    "ORDERING_HEURISTICS",
     "brown_order",
     "sotd_value",
     "order_by_sotd",
@@ -43,9 +44,6 @@ class HeuristicReport:
     chosen: VarOrdering
     scores: tuple[tuple[str, object], ...]
     ties: tuple[VarOrdering, ...] = ()
-
-    def score_table(self) -> str:
-        return "\n".join(f"{label}: {score}" for label, score in self.scores)
 
 
 def _clean(A: Iterable[Poly]) -> list[Poly]:
@@ -84,12 +82,22 @@ def sotd_value(levels: ProjectionLevels) -> int:
     return total
 
 
-def _argmin_report(
-    name: str, scored: list[tuple[VarOrdering, int]], names: Sequence[str] | None = None
+def _argmin_over_orderings(
+    name: str,
+    A: Iterable[Poly],
+    nvars: int,
+    blocks: Sequence[QuantifierBlock],
+    score: Callable[[list[Poly], VarOrdering], int],
 ) -> HeuristicReport:
+    """Score every admissible ordering; the first minimum wins, later ones tie."""
+    polys = _clean(A)
+    scored = []
+    for ordering in admissible_orderings(nvars, blocks):
+        checkpoint()
+        scored.append((ordering, score(polys, ordering)))
     best = min(s for _, s in scored)
     winners = [o for o, s in scored if s == best]
-    labels = names or [f"x{i}" for i in range(scored[0][0].nvars)]
+    labels = [f"x{i}" for i in range(nvars)]
     table = tuple((o.to_names(labels), s) for o, s in scored)
     return HeuristicReport(name, winners[0], table, ties=tuple(winners[1:]))
 
@@ -107,25 +115,28 @@ def order_by_sotd(
     greedy: commit one elimination at a time, choosing the variable whose
     projection adds the least sotd.
     """
-    polys = _clean(A)
-    if strategy == "exhaustive":
-        scored = []
-        for ordering in admissible_orderings(nvars, blocks):
-            if deadline:
-                deadline.check()
-            scored.append((ordering, sotd_value(projection_levels(polys, ordering))))
-        return _argmin_report("sotd", scored)
-    if strategy != "greedy":
-        raise ValueError(f"unknown sotd strategy {strategy!r}")
+    with scoped_deadline(deadline):
+        if strategy == "exhaustive":
+            return _argmin_over_orderings(
+                "sotd", A, nvars, blocks,
+                lambda polys, ordering: sotd_value(projection_levels(polys, ordering)),
+            )
+        if strategy != "greedy":
+            raise ValueError(f"unknown sotd strategy {strategy!r}")
+        return _greedy_sotd(A, nvars, blocks)
+
+
+def _greedy_sotd(
+    A: Iterable[Poly], nvars: int, blocks: Sequence[QuantifierBlock]
+) -> HeuristicReport:
     segments = ordering_segments(nvars, blocks)
-    current = [p.normalized() for p in polys]
+    current = [p.normalized() for p in _clean(A)]
     elim: list[int] = []
     steps: list[tuple[str, object]] = []
     for segment in reversed(segments):  # innermost quantifier block first
         remaining = list(segment)
         while remaining:
-            if deadline:
-                deadline.check()
+            checkpoint()
             best_v = None
             best_add = None
             best_proj = None
@@ -149,18 +160,14 @@ def order_by_ndrr(
     deadline: Deadline | None = None,
 ) -> HeuristicReport:
     """Fewest distinct real roots among the univariate projection polynomials."""
-    polys = _clean(A)
-    scored = []
-    for ordering in admissible_orderings(nvars, blocks):
-        if deadline:
-            deadline.check()
-        levels = projection_levels(polys, ordering)
+
+    def score(polys: list[Poly], ordering: VarOrdering) -> int:
         base = ordering.var_at_level(1)
-        count = count_distinct_real_roots(
-            [p for p in levels.univariate_level() if p.contains_var(base)], base
-        )
-        scored.append((ordering, count))
-    return _argmin_report("ndrr", scored)
+        univariate = projection_levels(polys, ordering).univariate_level()
+        return count_distinct_real_roots([p for p in univariate if p.contains_var(base)], base)
+
+    with scoped_deadline(deadline):
+        return _argmin_over_orderings("ndrr", A, nvars, blocks, score)
 
 
 def order_by_fulldim(
@@ -170,13 +177,19 @@ def order_by_fulldim(
     deadline: Deadline | None = None,
 ) -> HeuristicReport:
     """Fewest full-dimensional cells; candidates are evaluated independently."""
-    polys = _clean(A)
-    scored = []
-    for ordering in admissible_orderings(nvars, blocks):
-        if deadline:
-            deadline.check()
-        scored.append((ordering, open_cad_fulldim(polys, ordering, deadline=deadline)))
-    return _argmin_report("fulldim", scored)
+    with scoped_deadline(deadline):
+        return _argmin_over_orderings("fulldim", A, nvars, blocks, open_cad_fulldim)
+
+
+# name -> chooser(polys, nvars, blocks), run under the caller's scoped deadline;
+# the lambdas look each heuristic up at call time, so a rebinding takes effect
+ORDERING_HEURISTICS: dict[str, Callable[..., HeuristicReport]] = {
+    "brown": lambda A, nvars, blocks: brown_order(A, nvars, blocks),
+    "sotd": lambda A, nvars, blocks: order_by_sotd(A, nvars, blocks, strategy="exhaustive"),
+    "greedy-sotd": lambda A, nvars, blocks: order_by_sotd(A, nvars, blocks, strategy="greedy"),
+    "ndrr": lambda A, nvars, blocks: order_by_ndrr(A, nvars, blocks),
+    "fulldim": lambda A, nvars, blocks: order_by_fulldim(A, nvars, blocks),
+}
 
 
 def tnoi(A: Iterable[Poly]) -> int:

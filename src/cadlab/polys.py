@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 __all__ = [
     "Poly",
     "DegreeStats",
-    "arith",
+    "distinct_normalized",
     "poly_gcd",
     "divexact",
     "prem",
@@ -284,16 +284,6 @@ class Poly:
                 out.pop(key, None)
         return Poly(self.nvars, out)
 
-    def subst_poly(self, v: int, value: Poly) -> Poly:
-        """Substitute a polynomial for variable v (used by the test oracles)."""
-        self._check(value)
-        result = Poly.zero(self.nvars)
-        for k, coeff_poly in enumerate(self.coeffs_in(v)):
-            if coeff_poly.is_zero():
-                continue
-            result = result + coeff_poly * value**k
-        return result
-
     def interval_eval(
         self, box: Mapping[int, tuple[Fraction, Fraction]]
     ) -> tuple[Fraction, Fraction]:
@@ -392,22 +382,6 @@ def _interval_pow(lo, hi, e):
     if hi <= 0:
         return hi**e, lo**e
     return Fraction(0), max(lo**e, hi**e)
-
-
-# -- arithmetic dispatch --------------------------------------------------------
-
-
-def arith(p: Poly, q: Poly, kind: str) -> Poly:
-    """Dispatch basic ring arithmetic: kind in {add, sub, mul, neg}."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    if kind == "neg":
-        return -p
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 # -- exact division and pseudo-division ---------------------------------------
@@ -606,15 +580,28 @@ def squarefree_part(p: Poly, v: int) -> Poly:
     return pp if cont.is_constant() else cont * pp
 
 
-# -- square-free primitive basis -------------------------------------------------
+# -- canonical sets ---------------------------------------------------------------
 
 
 def _poly_sort_key(p: Poly):
+    """The deterministic order of every polynomial set the package emits."""
     return (
         p.total_degree(),
         len(p.terms),
         tuple((e, c.numerator, c.denominator) for e, c in p.sorted_terms()),
     )
+
+
+def distinct_normalized(A: Iterable[Poly]) -> list[Poly]:
+    """Nonconstant members of A, normalized, deduplicated; first occurrences in order.
+
+    Normalized polynomials are equal (and hash equal) exactly when the inputs
+    are rational multiples of each other, so the ``Poly`` itself is the key.
+    """
+    return list(dict.fromkeys(p.normalized() for p in A if not p.is_constant()))
+
+
+# -- square-free primitive basis -------------------------------------------------
 
 
 def squarefree_primitive_basis(
@@ -628,19 +615,18 @@ def squarefree_primitive_basis(
     multiples.
     """
     parts: list[Poly] = []
-    contents: dict[tuple, Poly] = {}
+    contents: set[Poly] = set()
     for p in sorted(A, key=_poly_sort_key):
         if p.is_zero() or p.is_constant():
             continue
         cont = content_in(p, v)
         pp = divexact(p, cont)
         if not cont.is_constant():
-            c = cont.normalized()
-            contents.setdefault(_terms_key(c), c)
+            contents.add(cont.normalized())
         if pp.contains_var(v):
             parts.append(squarefree_part(pp, v).normalized())
     basis: list[Poly] = []
-    queue = list(dict((_terms_key(p), p) for p in parts).values())
+    queue = list(dict.fromkeys(parts))
     while queue:
         p = queue.pop(0)
         if p.is_constant():
@@ -666,11 +652,7 @@ def squarefree_primitive_basis(
         if not p.is_constant():
             basis.append(p)
     basis.sort(key=_poly_sort_key)
-    return basis, sorted(contents.values(), key=_poly_sort_key)
-
-
-def _terms_key(p: Poly):
-    return tuple(sorted(p.terms.items()))
+    return basis, sorted(contents, key=_poly_sort_key)
 
 
 # -- degree statistics ------------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import Any
 
 from .formulas import Formula, atom_polys
 from .ordering import QuantifierBlock, VarOrdering
-from .polys import Poly
+from .polys import Poly, distinct_normalized
 
 __all__ = ["Problem"]
 
@@ -39,14 +39,9 @@ class Problem:
 
     def input_polys(self) -> list[Poly]:
         """Normalized, deduplicated polynomials of the payload, stable order."""
-        raw = atom_polys(self.formula) if self.formula is not None else list(self.polys)
-        seen: dict = {}
-        for p in raw:
-            if p.is_zero() or p.is_constant():
-                continue
-            q = p.normalized()
-            seen.setdefault(tuple(sorted(q.terms.items())), q)
-        return list(seen.values())
+        return distinct_normalized(
+            atom_polys(self.formula) if self.formula is not None else self.polys
+        )
 
     def var_index(self, name: str) -> int:
         try:

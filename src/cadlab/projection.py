@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import Deadline
+from .errors import checkpoint
 from .ordering import VarOrdering
 from .polys import (
     Poly,
+    _poly_sort_key,
     discriminant,
+    distinct_normalized,
     resultant,
     squarefree_part,
     squarefree_primitive_basis,
@@ -27,19 +29,15 @@ from .polys import (
 __all__ = ["ProjectionLevels", "mccallum_project", "reduced_ec_project", "projection_levels"]
 
 
-def _emit(collected: dict, p: Poly) -> None:
-    if p.is_zero() or p.is_constant():
+def _emit(collected: set[Poly], p: Poly) -> None:
+    if p.is_constant():
         return
-    vs = p.variables()
-    main = vs[-1]
-    q = squarefree_part(p, main).normalized()
-    if q.is_constant():
-        return
-    key = tuple(sorted(q.terms.items()))
-    collected.setdefault(key, q)
+    q = squarefree_part(p, p.variables()[-1]).normalized()
+    if not q.is_constant():
+        collected.add(q)
 
 
-def _coefficients_until_constant(collected: dict, b: Poly, v: int) -> None:
+def _coefficients_until_constant(collected: set[Poly], b: Poly, v: int) -> None:
     # leading coefficient downwards; a nonzero constant coefficient certifies
     # the polynomial cannot vanish identically, so the rest may be dropped
     for k in range(b.degree(v), -1, -1):
@@ -53,7 +51,7 @@ def _coefficients_until_constant(collected: dict, b: Poly, v: int) -> None:
 
 def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
     """Full projection of A eliminating v; elements free of v pass through."""
-    collected: dict = {}
+    collected: set[Poly] = set()
     basis, contents = squarefree_primitive_basis(A, v)
     for c in contents:
         _emit(collected, c)
@@ -64,7 +62,7 @@ def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
     for i, b in enumerate(basis):
         for c in basis[i + 1 :]:
             _emit(collected, resultant(b, c, v))
-    return sorted(collected.values(), key=_sort_key)
+    return sorted(collected, key=_poly_sort_key)
 
 
 def reduced_ec_project(A: Iterable[Poly], e: Poly, v: int) -> list[Poly]:
@@ -78,7 +76,7 @@ def reduced_ec_project(A: Iterable[Poly], e: Poly, v: int) -> list[Poly]:
         raise ValueError("designated EC missing")
     if not e.contains_var(v):
         raise ValueError("designated EC does not involve the projection variable")
-    collected: dict = {}
+    collected: set[Poly] = set()
     for p in mccallum_project([e], v):
         _emit(collected, p)
     others = [g for g in A if g != e]
@@ -89,15 +87,7 @@ def reduced_ec_project(A: Iterable[Poly], e: Poly, v: int) -> list[Poly]:
     for g in others:
         if g.contains_var(v):
             _emit(collected, resultant(e, g, v))
-    return sorted(collected.values(), key=_sort_key)
-
-
-def _sort_key(p: Poly):
-    return (
-        p.total_degree(),
-        len(p.terms),
-        tuple((e, c.numerator, c.denominator) for e, c in p.sorted_terms()),
-    )
+    return sorted(collected, key=_poly_sort_key)
 
 
 @dataclass(frozen=True)
@@ -127,7 +117,6 @@ def projection_levels(
     A: Iterable[Poly],
     ordering: VarOrdering,
     designations: Mapping[int, Poly] | None = None,
-    deadline: Deadline | None = None,
 ) -> ProjectionLevels:
     """Apply the projection operator from level n down to level 1.
 
@@ -136,15 +125,11 @@ def projection_levels(
     k ordering variables (checked structurally by the tests).
     """
     designations = designations or {}
-    inputs: dict = {}
-    for p in A:
-        _emit_input(inputs, p)
-    current = sorted(inputs.values(), key=_sort_key)
+    current = sorted(distinct_normalized(A), key=_poly_sort_key)
     n = ordering.nvars
     out = [tuple(current)]
     for k in range(n, 1, -1):
-        if deadline:
-            deadline.check()
+        checkpoint()
         v = ordering.var_at_level(k)
         if not any(p.contains_var(v) for p in current):
             # nothing mentions the level variable: the set passes through
@@ -158,10 +143,3 @@ def projection_levels(
         out.append(tuple(current))
     out.reverse()
     return ProjectionLevels(ordering, tuple(out))
-
-
-def _emit_input(collected: dict, p: Poly) -> None:
-    if p.is_zero() or p.is_constant():
-        return
-    q = p.normalized()
-    collected.setdefault(tuple(sorted(q.terms.items())), q)

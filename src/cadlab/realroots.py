@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .errors import checkpoint
@@ -286,13 +287,10 @@ class AlgebraicNumber:
         vm = _eval(self.coeffs, mid)
         if vm == 0:
             w = min(mid - self.lo, self.hi - mid) / 2
-            return AlgebraicNumber.from_rational(mid)._with_interval(mid - w, mid + w)
+            return AlgebraicNumber((-mid.numerator, mid.denominator), mid - w, mid + w)
         if (vm > 0) == (_eval(self.coeffs, self.lo) > 0):
             return AlgebraicNumber(self.coeffs, mid, self.hi)
         return AlgebraicNumber(self.coeffs, self.lo, mid)
-
-    def _with_interval(self, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
-        return AlgebraicNumber(self.coeffs, lo, hi)
 
     def refine(self, width) -> AlgebraicNumber:
         """Same root, interval width at most ``width``."""
@@ -424,9 +422,7 @@ class RootList:
 
     @classmethod
     def make(cls, roots: Iterable[AlgebraicNumber]) -> RootList:
-        ordered = sorted(roots, key=_SortKey)
-        ordered = _make_disjoint(ordered)
-        return cls(tuple(ordered))
+        return cls(tuple(_make_disjoint(sorted(roots, key=cmp_to_key(compare)))))
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -438,17 +434,8 @@ class RootList:
         return self.roots[i]
 
 
-class _SortKey:
-    __slots__ = ("a",)
-
-    def __init__(self, a: AlgebraicNumber):
-        self.a = a
-
-    def __lt__(self, other: _SortKey) -> bool:
-        return compare(self.a, other.a) < 0
-
-
 def _make_disjoint(ordered: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
+    """Refine neighbours of an increasing root list until their intervals are disjoint."""
     out = list(ordered)
     for i in range(len(out) - 1):
         while out[i].hi > out[i + 1].lo:
@@ -521,7 +508,7 @@ def _exact_div_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def merge_distinct(roots: Iterable[AlgebraicNumber]) -> RootList:
     """Sorted union with exact dedup of equal roots."""
-    ordered = sorted(roots, key=_SortKey)
+    ordered = sorted(roots, key=cmp_to_key(compare))
     out: list[AlgebraicNumber] = []
     for r in ordered:
         if out and compare(out[-1], r) == 0:

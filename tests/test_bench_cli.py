@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from cadlab.bench import BenchConfig, csv_text, load_problem_file, run_bench
+from cadlab.bench import BenchConfig, load_problem_file, run_bench, write_csv, write_json
 from cadlab.cli import main
 from cadlab.probjson import emit_json
 from cadlab.randgen import RandomProfile, random_problems
@@ -77,11 +78,34 @@ class TestBench:
             shutil.copy(CORPUS / name, work)
         config1 = BenchConfig(jobs=1, seed=42, stable=True)
         config4 = BenchConfig(jobs=4, seed=42, stable=True)
-        a = csv_text(run_bench(work, config1))
-        b = csv_text(run_bench(work, config1))
-        c = csv_text(run_bench(work, config4))
+        texts = []
+        for config in (config1, config1, config4):
+            buf = io.StringIO()
+            write_csv(run_bench(work, config), buf)
+            texts.append(buf.getvalue())
+        a, b, c = texts
         assert a == b == c
         assert "time_ms" in a.splitlines()[0]
+
+    def test_error_rows_carry_their_cause_in_json_only(self, tmp_path):
+        work = tmp_path / "corpus"
+        work.mkdir()
+        (work / "consts.json").write_text(json.dumps({
+            "name": "consts", "vars": ["x"],
+            "polys": [[{"coeff": "3", "exps": [0]}]],
+        }), encoding="utf-8")
+        shutil.copy(CORPUS / "circle.json", work)
+        report = run_bench(work, BenchConfig(heuristics=("brown",), stable=True))
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        write_csv(report, csv_buf)
+        write_json(report, json_buf)
+        rows = {r["problem"]: r for r in json.loads(json_buf.getvalue())["rows"]}
+        assert rows["consts"]["status"] == "error"
+        assert rows["consts"]["error"] == "CadError: no nonconstant polynomials"
+        assert "error" not in rows["circle"]
+        lines = csv_buf.getvalue().splitlines()
+        assert lines[0].split(",")[-1] == "status"
+        assert "consts,brown,-,-,sign,,,,error" in lines
 
     def test_smt2_files_load(self):
         prob = load_problem_file(CORPUS / "circle.smt2")

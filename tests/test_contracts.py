@@ -1,0 +1,92 @@
+"""Package-wide contracts: deadlines, the canonical polynomial key, exports."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+import time
+from fractions import Fraction
+
+import pytest
+
+import cadlab
+from cadlab.cadbuild import build_cad, evaluate_formula_on_cells
+from cadlab.errors import ComputeTimeout, Deadline, checkpoint
+from cadlab.formulas import Atom, BoolOp, identify_ecs
+from cadlab.heuristics import order_by_fulldim, order_by_ndrr, order_by_sotd
+from cadlab.ordering import VarOrdering
+from cadlab.polys import Poly, _poly_sort_key
+from cadlab.problem import Problem
+
+
+def P(terms):
+    return Poly(2, terms)
+
+
+XY = VarOrdering((0, 1))
+CIRCLE = P({(2, 0): 1, (0, 2): 1, (0, 0): -1})
+CIRCLE2 = P({(2, 0): 1, (1, 0): -2, (0, 2): 1})
+
+
+def _evaluate(deadline):
+    tree = build_cad([CIRCLE, CIRCLE2], XY)
+    return evaluate_formula_on_cells(tree, Atom(CIRCLE, "<"), deadline=deadline)
+
+
+# the five entry points that take ``deadline=``, each reduced to a comparable answer
+ENTRY_POINTS = {
+    "order_by_sotd": lambda dl: order_by_sotd([CIRCLE, CIRCLE2], 2, deadline=dl).scores,
+    "order_by_sotd_greedy": lambda dl: order_by_sotd(
+        [CIRCLE, CIRCLE2], 2, strategy="greedy", deadline=dl
+    ).scores,
+    "order_by_ndrr": lambda dl: order_by_ndrr([CIRCLE, CIRCLE2], 2, deadline=dl).scores,
+    "order_by_fulldim": lambda dl: order_by_fulldim([CIRCLE, CIRCLE2], 2, deadline=dl).scores,
+    "build_cad": lambda dl: build_cad([CIRCLE, CIRCLE2], XY, deadline=dl).counts,
+    "evaluate_formula_on_cells": _evaluate,
+}
+
+
+class TestDeadlineContract:
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_expired_deadline_raises_and_scope_is_restored(self, name):
+        with pytest.raises(ComputeTimeout):
+            ENTRY_POINTS[name](Deadline(time.monotonic() - 1.0))
+        checkpoint()  # no scoped deadline is left behind
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_no_deadline_runs_to_completion(self, name):
+        assert ENTRY_POINTS[name](None) == ENTRY_POINTS[name](Deadline.after_ms(60_000))
+
+
+
+class TestCanonicalKey:
+    def test_fraction_and_int_coefficients_are_one_key(self):
+        a = P({(1, 0): Fraction(2), (0, 0): Fraction(-2)})
+        b = P({(1, 0): 2, (0, 0): -2})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_input_polys_keeps_one_copy_of_rational_multiples(self):
+        two_x_minus_two = Poly(1, {(1,): 2, (0,): -2})
+        x_minus_one = Poly(1, {(1,): 1, (0,): -1})
+        problem = Problem("dup", ("x",), polys=(two_x_minus_two, Poly.const(1, 5), x_minus_one))
+        assert problem.input_polys() == [x_minus_one]
+
+    def test_identify_ecs_sorted_by_poly_sort_key(self):
+        line = P({(1, 0): 1, (0, 1): -1})
+        formula = BoolOp("and", (Atom(CIRCLE, "="), Atom(CIRCLE2, "<"), Atom(line, "="),
+                                 Atom(P({(0, 1): 3}), "=")))
+        ecs = identify_ecs(formula)
+        assert all(isinstance(p, Poly) for p in ecs)
+        assert ecs == sorted(ecs, key=_poly_sort_key)
+        assert set(ecs) == {CIRCLE, line, P({(0, 1): 1})}
+
+
+MODULES = ["cadlab"] + [f"cadlab.{m.name}" for m in pkgutil.iter_modules(cadlab.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

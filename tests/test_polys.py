@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cadlab.polys import (
     DegreeStats,
     Poly,
-    arith,
     content_in,
     degree_stats,
     discriminant,
@@ -36,21 +35,17 @@ CIRCLE2 = P({(2, 0): 1, (1, 0): -2, (0, 2): 1})
 
 class TestArith:
     def test_additive_inverse(self):
-        assert arith(X, -X, "add").is_zero()
+        assert (X + -X).is_zero()
 
     def test_multiplicative_identity(self):
-        assert arith(CIRCLE, Poly.one(2), "mul") == CIRCLE
+        assert CIRCLE * Poly.one(2) == CIRCLE
 
     def test_circle_difference(self):
         # f1 - f2 for the two unit circles expands to 2x - 1
-        assert arith(CIRCLE, CIRCLE2, "sub") == P({(1, 0): 2, (0, 0): -1})
+        assert CIRCLE - CIRCLE2 == P({(1, 0): 2, (0, 0): -1})
 
     def test_neg(self):
-        assert arith(X, X, "neg") == -X
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            arith(X, Y, "div")
+        assert -X == P({(1, 0): -1})
 
     def test_pow(self):
         assert (X + Y) ** 2 == P({(2, 0): 1, (1, 1): 2, (0, 2): 1})
