@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import checkpoint
 from .polys import Poly, _resultant_any, discriminant, divexact, poly_gcd, squarefree_part
-from .realroots import AlgebraicNumber, _eval, compare, isolate_real_roots, sign_at
+from .realroots import AlgebraicNumber, _sign_at, dense_from_poly, isolate_real_roots, sign_at
 
 __all__ = ["sign_at_point", "roots_above", "Nullified"]
 
@@ -59,15 +59,8 @@ def sign_at_point(p: Poly, point: Sequence[AlgebraicNumber]) -> int:
         return (val > 0) - (val < 0)
     if len(live) == 1:
         v = live[0]
-        return sign_at(_dense_in(q, v), algebraic[v])
+        return sign_at(dense_from_poly(q, v), algebraic[v])
     return _sign_multi(q, {i: algebraic[i] for i in live})
-
-
-def _dense_in(q: Poly, v: int) -> list[Fraction]:
-    out = [Fraction(0)] * (q.degree(v) + 1)
-    for exps, c in q.terms.items():
-        out[exps[v]] = out[exps[v]] + c if exps[v] < len(out) else c
-    return out
 
 
 def _sign_multi(q: Poly, coords: dict[int, AlgebraicNumber]) -> int:
@@ -92,7 +85,7 @@ def _sign_multi(q: Poly, coords: dict[int, AlgebraicNumber]) -> int:
                 return (val > 0) - (val < 0)
             if len(rest) == 1:
                 ((v, a),) = rest.items()
-                return sign_at(_dense_in(q2, v), a)
+                return sign_at(dense_from_poly(q2, v), a)
             return _sign_multi(q2, rest)
     return _sign_exact(q, boxes)
 
@@ -111,30 +104,27 @@ def _sign_exact(q: Poly, coords: dict[int, AlgebraicNumber]) -> int:
     g = carrier
     for v, alpha in sorted(coords.items()):
         g, _split = _eliminate_coordinate(g, v, alpha)
-    return _sign_from_eliminant(q, coords, _dense_in(g, z))
+    return _sign_from_eliminant(q, coords, dense_from_poly(g, z))
 
 
-def _nonzero_root_gap(eliminant: list[Fraction]) -> Fraction | None:
+def _nonzero_root_gap(eliminant: list[int]) -> Fraction | None:
     """Magnitude bound: every nonzero root r has |r| >= the returned gap.
 
     Returns None when the eliminant has no root at zero (value cannot be 0).
     """
-    from .realroots import _clear_denoms
-
-    ints = _clear_denoms(eliminant)
     k = 0
-    while k < len(ints) and ints[k] == 0:
+    while k < len(eliminant) and eliminant[k] == 0:
         k += 1
     if k == 0:
         return None
-    h = ints[k:]
+    h = eliminant[k:]
     lead = abs(h[0])
     peak = max(abs(x) for x in h)
     return Fraction(lead, lead + peak)
 
 
 def _sign_from_eliminant(
-    q: Poly, coords: dict[int, AlgebraicNumber], eliminant: list[Fraction]
+    q: Poly, coords: dict[int, AlgebraicNumber], eliminant: list[int]
 ) -> int:
     gap = _nonzero_root_gap(eliminant)
     boxes = dict(coords)
@@ -181,10 +171,8 @@ def _eliminate_coordinate(
         w = poly_gcd(d, g)
         if w.is_constant():
             break
-        w_dense = _dense_in(w, v)
-        lo_val = _eval(w_dense, alpha.lo)
-        hi_val = _eval(w_dense, alpha.hi)
-        if (lo_val > 0) != (hi_val > 0):
+        w_dense = dense_from_poly(w, v)
+        if (_sign_at(w_dense, alpha.lo) > 0) != (_sign_at(w_dense, alpha.hi) > 0):
             # alpha is a root of the shared factor: g vanishes identically at
             # alpha in the remaining variables; strip the factor and continue
             g = divexact(g, w)
@@ -226,7 +214,7 @@ def roots_above(
             raise Nullified()
         if not q.contains_var(v):
             return []
-        return [(r, True) for r in isolate_real_roots(_dense_in(q, v))]
+        return [(r, True) for r in isolate_real_roots(q, v)]
     coords = {i: algebraic[i] for i in live}
     # exact coefficient signs decide nullification and the true degree
     coeffs = q.coeffs_in(v)
@@ -245,7 +233,7 @@ def roots_above(
     if not eliminant.contains_var(v):
         # a constant eliminant certifies p(point, v) has no real roots
         return []
-    candidates = list(isolate_real_roots(_dense_in(eliminant, v)))
+    candidates = list(isolate_real_roots(eliminant, v))
     if not candidates:
         return []
     known_simple = _substitution_squarefree(trunc, point, v, true_deg)
@@ -271,7 +259,7 @@ def roots_above(
                     cache[beta.coeffs] = g
             full = dict(coords)
             full[v] = beta
-            if _sign_from_eliminant(trunc, full, _dense_in(g, z)) == 0:
+            if _sign_from_eliminant(trunc, full, dense_from_poly(g, z)) == 0:
                 out.append((beta, False))
         return out
     for beta in candidates:

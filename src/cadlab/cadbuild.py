@@ -57,9 +57,6 @@ class Cell:
     def dimension(self) -> int:
         return sum(1 for i in self.index if i % 2 == 1)
 
-    def is_section(self) -> bool:
-        return bool(self.index) and self.index[-1] % 2 == 0
-
 
 @dataclass
 class Stack:

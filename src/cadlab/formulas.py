@@ -99,10 +99,6 @@ def conj(*args: Formula) -> Formula:
     return args[0] if len(args) == 1 else BoolOp("and", tuple(args))
 
 
-def disj(*args: Formula) -> Formula:
-    return args[0] if len(args) == 1 else BoolOp("or", tuple(args))
-
-
 def normalize(f: Formula) -> Formula:
     """Negation normal form with canonical atoms and flattened and/or."""
     return _nnf(f, negate=False)
@@ -232,13 +228,6 @@ class ECDesignation:
 
     def as_mapping(self) -> dict[int, Poly]:
         return {k + 1: p for k, p in enumerate(self.per_level) if p is not None}
-
-    def describe(self, names: Sequence[str]) -> str:
-        parts = []
-        for k, p in enumerate(self.per_level):
-            if p is not None:
-                parts.append(f"L{k + 1}:{p.to_string(names)}")
-        return ";".join(parts) if parts else "none"
 
 
 def enumerate_designations(candidates: Sequence[Sequence[Poly]]) -> list[ECDesignation]:

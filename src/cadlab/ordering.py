@@ -53,10 +53,6 @@ class VarOrdering:
         """Main variable of level k (1-based): the k-th ordering entry."""
         return self.order[k - 1]
 
-    def elimination_sequence(self) -> tuple[int, ...]:
-        """Variables in the order projection removes them (main variable first)."""
-        return tuple(reversed(self.order))
-
     def level_of(self, v: int) -> int:
         return self.order.index(v) + 1
 

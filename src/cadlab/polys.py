@@ -1,10 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic and elimination-theory kernels.
 
-Polynomials live in Q[x_0, ..., x_{n-1}] with arbitrary-precision rational
-coefficients (``fractions.Fraction``); there is no floating point anywhere in
-this module.  Variables are plain integer indices into the problem's declared
-variable sequence, monomials are exponent tuples of length ``nvars``, and the
-canonical term order is graded lexicographic on the exponent tuple.
+Polynomials live in Q[x_0, ..., x_{n-1}].  A coefficient is stored as an
+``int`` when it is integral and as a ``fractions.Fraction`` otherwise, so the
+ring operations run in integer arithmetic on integer polynomials (the common
+case); there is no floating point anywhere in this module.  Variables are
+plain integer indices into the problem's declared variable sequence, monomials
+are exponent tuples of length ``nvars``, and the canonical term order is
+graded lexicographic on the exponent tuple.
 
 Besides ring arithmetic this module provides the kernels the projection and
 preconditioning layers consume: pseudo-division, multivariate gcd (primitive
@@ -36,14 +38,6 @@ __all__ = [
 ]
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
-
-
 def _as_coeff(c):
     """Coefficients stay plain ints whenever integral: ints share the Rational
     protocol (.numerator/.denominator) but multiply without gcd normalization,
@@ -72,7 +66,7 @@ class Poly:
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 c = _as_coeff(coeff)
@@ -97,7 +91,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c) -> Poly:
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: _as_coeff(c)})
 
     @classmethod
     def one(cls, nvars: int) -> Poly:
@@ -109,7 +103,7 @@ class Poly:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     # -- basic queries -------------------------------------------------------
 
@@ -124,7 +118,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return _as_fraction(next(iter(self.terms.values())))
+        return Fraction(next(iter(self.terms.values())))
 
     def variables(self) -> tuple[int, ...]:
         """Indices of variables actually occurring, ascending."""
@@ -154,7 +148,7 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -169,16 +163,16 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _as_coeff(other)
             if c == 0:
                 return Poly.zero(self.nvars)
             return Poly(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -249,21 +243,21 @@ class Poly:
             e = list(exps)
             e[v] = k - 1
             key = tuple(e)
-            out[key] = out.get(key, Fraction(0)) + c * k
+            out[key] = out.get(key, 0) + c * k
         return Poly(self.nvars, out)
 
     # -- evaluation / substitution -------------------------------------------
 
     def evaluate(self, assign: Mapping[int, Fraction | int]) -> Fraction:
         """Full evaluation; every occurring variable must be assigned."""
-        total = Fraction(0)
+        total = 0
         for exps, c in self.terms.items():
             term = c
             for i, e in enumerate(exps):
                 if e:
-                    term *= _as_fraction(assign[i]) ** e
+                    term *= _as_coeff(assign[i]) ** e
             total += term
-        return total
+        return Fraction(total)
 
     def substitute(self, assign: Mapping[int, Fraction | int]) -> Poly:
         """Partial substitution of rational values; keeps the variable indexing."""
@@ -274,10 +268,10 @@ class Poly:
             for i, val in assign.items():
                 e = exps[i]
                 if e:
-                    coeff *= _as_fraction(val) ** e
+                    coeff *= _as_coeff(val) ** e
                 rest[i] = 0
             key = tuple(rest)
-            s = out.get(key, Fraction(0)) + coeff
+            s = out.get(key, 0) + coeff
             if s:
                 out[key] = s
             else:
@@ -288,10 +282,9 @@ class Poly:
         self, box: Mapping[int, tuple[Fraction, Fraction]]
     ) -> tuple[Fraction, Fraction]:
         """Enclosure of the range over a box, exact rational interval arithmetic."""
-        lo = Fraction(0)
-        hi = Fraction(0)
+        lo = hi = 0
         for exps, c in self.terms.items():
-            tlo, thi = Fraction(1), Fraction(1)
+            tlo, thi = 1, 1
             for i, e in enumerate(exps):
                 if not e:
                     continue
@@ -326,16 +319,13 @@ class Poly:
         """
         if self.is_zero():
             return self, 1
-        denom_lcm = 1
-        for c in self.terms.values():
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-        scale = Fraction(denom_lcm, num_gcd)
+        lcm = math.lcm(*(c.denominator for c in self.terms.values()))
+        gcd = math.gcd(*(c.numerator * (lcm // c.denominator) for c in self.terms.values()))
         lead = max(self.terms, key=_grlex_key)
         sign = 1 if self.terms[lead] > 0 else -1
-        return self * (scale * sign), sign
+        return Poly(self.nvars, {
+            e: sign * c.numerator * (lcm // c.denominator) // gcd for e, c in self.terms.items()
+        }), sign
 
     def normalized(self) -> Poly:
         return self.normalized_with_sign()[0]
@@ -381,7 +371,7 @@ def _interval_pow(lo, hi, e):
         return lo**e, hi**e
     if hi <= 0:
         return hi**e, lo**e
-    return Fraction(0), max(lo**e, hi**e)
+    return 0, max(lo**e, hi**e)
 
 
 # -- exact division and pseudo-division ---------------------------------------
@@ -402,7 +392,7 @@ def divexact(p: Poly, d: Poly) -> Poly:
         q_exps = tuple(a - b for a, b in zip(r_lead, d_lead))
         if any(e < 0 for e in q_exps):
             raise ArithmeticError("inexact polynomial division")
-        q_c = _as_fraction(rem.terms[r_lead]) / d_lc
+        q_c = Fraction(rem.terms[r_lead], d_lc)
         quotient[q_exps] = q_c
         rem = rem - Poly(p.nvars, {q_exps: q_c}) * d
     return Poly(p.nvars, quotient)

@@ -105,10 +105,6 @@ class ProjectionLevels:
     def level(self, k: int) -> tuple[Poly, ...]:
         return self.levels[k - 1]
 
-    @property
-    def nlevels(self) -> int:
-        return len(self.levels)
-
     def univariate_level(self) -> tuple[Poly, ...]:
         return self.levels[0]
 

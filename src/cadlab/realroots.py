@@ -6,7 +6,12 @@ the square-free part; every real root comes back as an :class:`AlgebraicNumber`
 rational non-root endpoints).  Rational roots found exactly are stored with the
 degenerate linear encoding ``den*v - num``.
 
-All arithmetic is exact (``fractions.Fraction``); nothing here floats.
+Inside this module a univariate polynomial is a dense list of ``int``
+coefficients, low to high, with content 1 (a positive rational multiple of the
+polynomial it stands for, so roots and signs are unchanged).  Rationals enter
+once, at :func:`dense_from_poly` and the sequence inputs of
+:func:`isolate_real_roots` and :func:`sign_at`; interval endpoints and sample
+values are ``Fraction``.  Nothing here floats.
 """
 
 from __future__ import annotations
@@ -32,11 +37,14 @@ __all__ = [
 ]
 
 
-# -- dense univariate helpers (integer or Fraction coefficient lists, low->high)
+# -- dense univariate helpers (primitive integer coefficient lists, low->high)
 
 
-def dense_from_poly(p: Poly, v: int | None = None) -> list[Fraction]:
-    """Dense coefficient list of a univariate polynomial; errors on extra vars."""
+def dense_from_poly(p: Poly, v: int | None = None) -> list[int]:
+    """Primitive integer coefficients of a positive multiple of a univariate p.
+
+    Raises ValueError when p involves any variable other than v.
+    """
     vs = p.variables()
     if len(vs) > 1:
         raise ValueError("not univariate")
@@ -44,10 +52,10 @@ def dense_from_poly(p: Poly, v: int | None = None) -> list[Fraction]:
         v = vs[0] if vs else 0
     elif vs and vs[0] != v:
         raise ValueError("not univariate in the requested variable")
-    out = [Fraction(0)] * (p.degree(v) + 1)
+    out = [0] * (p.degree(v) + 1)
     for exps, c in p.terms.items():
         out[exps[v]] = c
-    return _strip(out)
+    return _primitive(_strip(out))
 
 
 def _strip(c: list) -> list:
@@ -56,58 +64,48 @@ def _strip(c: list) -> list:
     return c
 
 
-def _clear_denoms(c: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    for x in c:
-        f = Fraction(x)
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    out = [int(Fraction(x) * lcm) for x in c]
-    g = 0
-    for x in out:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        out = [x // g for x in out]
-    if out and out[-1] < 0:
-        out = [-x for x in out]
-    return out
+def _primitive(c: Sequence) -> list[int]:
+    """Integer coefficients with gcd 1 of a positive multiple of a rational list."""
+    lcm = math.lcm(*(x.denominator for x in c))
+    ints = [x.numerator * (lcm // x.denominator) for x in c]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def _eval(c: Sequence, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _canonical(c: Sequence) -> list[int]:
+    """The primitive list with a positive leading coefficient."""
+    out = _primitive(c)
+    return [-x for x in out] if out and out[-1] < 0 else out
+
+
+def _sign_at(c: Sequence[int], x) -> int:
+    """Sign of c at the rational x, from den^n * c(num/den) by homogeneous Horner."""
+    num, den = x.numerator, x.denominator
+    acc = 0
+    scale = 1
     for k in reversed(c):
-        acc = acc * x + k
-    return acc
+        acc = acc * num + k * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
-def _deriv(c: Sequence) -> list:
+def _deriv(c: Sequence[int]) -> list[int]:
     return [c[i] * i for i in range(1, len(c))]
 
 
-def _uni_gcd(a: Sequence, b: Sequence) -> list[int]:
+def _uni_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive-PRS gcd over the integers, positive leading coefficient.
 
     Plain Euclidean remainders over Q suffer catastrophic coefficient growth
     on the big eliminants the lifting phase produces; stripping the integer
     content after every pseudo-remainder keeps the chain tractable.
     """
-    fa = _clear_denoms([Fraction(x) for x in a])
-    fb = _clear_denoms([Fraction(x) for x in b])
-    if not fa:
-        return fb
-    if not fb:
-        return fa
+    fa = _canonical(a)
+    fb = _canonical(b)
     while fb:
         checkpoint()
-        r = _int_prem(fa, fb)
-        g = 0
-        for x in r:
-            g = math.gcd(g, abs(x))
-        if g > 1:
-            r = [x // g for x in r]
-        fa, fb = fb, r
-    if fa[-1] < 0:
-        fa = [-x for x in fa]
-    return fa
+        fa, fb = fb, _primitive(_int_prem(fa, fb))
+    return _canonical(fa)
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -150,7 +148,7 @@ def _taylor_shift(c: list, a) -> list:
     return out
 
 
-def _descartes_count(c: Sequence, a: Fraction, b: Fraction) -> int:
+def _descartes_count(c: Sequence[int], a: Fraction, b: Fraction) -> int:
     """Sign-variation bound on the number of roots of c in the open (a, b).
 
     Transforms (a, b) onto (0, oo) via shift, scale, reverse, shift-by-one,
@@ -161,11 +159,10 @@ def _descartes_count(c: Sequence, a: Fraction, b: Fraction) -> int:
     den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
     u = a.numerator * (den // a.denominator)
     v = b.numerator * (den // b.denominator)
-    ints = _clear_denoms([Fraction(x) for x in c])
-    n = len(ints) - 1
+    n = len(c) - 1
     # den^n * p(x / den) has integer coefficients; shifting by the integer u
     # then evaluates p on (x + u)/den
-    q = _taylor_shift([ints[i] * den ** (n - i) for i in range(n + 1)], u)
+    q = _taylor_shift([c[i] * den ** (n - i) for i in range(n + 1)], u)
     w = v - u
     scale = 1
     for i in range(1, len(q)):
@@ -176,23 +173,28 @@ def _descartes_count(c: Sequence, a: Fraction, b: Fraction) -> int:
     return _variations(t)
 
 
-def _root_bound(c: Sequence) -> Fraction:
+def _root_bound(c: Sequence[int]) -> Fraction:
     """Cauchy bound: every real root has absolute value strictly below it."""
-    lc = abs(Fraction(c[-1]))
-    m = max((abs(Fraction(x)) for x in c[:-1]), default=Fraction(0))
-    bound = 1 + m / lc
-    return Fraction(math.ceil(bound))
+    m = max((abs(x) for x in c[:-1]), default=0)
+    return Fraction(1 - (-m // abs(c[-1])))  # ceil(1 + m / |lc|)
 
 
-def _divide_out_root(c: list[Fraction], r: Fraction) -> list[Fraction]:
-    # synthetic division by (x - r); remainder must be zero
-    out = [Fraction(0)] * (len(c) - 1)
-    acc = c[-1]
-    for i in range(len(c) - 2, -1, -1):
-        out[i] = acc
-        acc = c[i] + acc * r
-    assert acc == 0, "not a root"
-    return _strip(out)
+def _div_exact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a / b of integer lists; b must divide a.
+
+    The quotient is integral whenever b is primitive (Gauss's lemma), which
+    holds for every divisor here: gcds, and den*x - num for reduced num/den.
+    """
+    r = list(a)
+    db = len(b) - 1
+    out = [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        k = r[i + db] // b[-1]
+        out[i] = k
+        for j in range(db + 1):
+            r[i + j] -= k * b[j]
+    assert not any(r), "inexact dense division"
+    return out
 
 
 _TRIAL_CAP = 20000
@@ -217,31 +219,30 @@ def _small_divisors(n: int) -> list[int] | None:
     return sorted(divs)
 
 
-def _rational_roots(c: list[int]) -> tuple[list[Fraction], list[Fraction]]:
+def _rational_roots(c: list[int]) -> tuple[list[Fraction], list[int]]:
     """Extract exact rational roots by the rational-root theorem (capped).
 
     Returns (roots, remaining coefficients).  With huge extreme coefficients
     the search is skipped; such rational roots then stay interval-encoded,
     which every consumer handles.
     """
-    coeffs = [Fraction(x) for x in c]
     roots: list[Fraction] = []
-    if len(coeffs) > 1 and coeffs[0] == 0:
+    if len(c) > 1 and c[0] == 0:
         # square-free input: the zero root is simple
         roots.append(Fraction(0))
-        coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
-        return roots, coeffs
-    nums = _small_divisors(int(coeffs[0]))
-    dens = _small_divisors(int(coeffs[-1]))
+        c = c[1:]
+    if len(c) <= 1:
+        return roots, c
+    nums = _small_divisors(c[0])
+    dens = _small_divisors(c[-1])
     if nums is None or dens is None:
-        return roots, coeffs
+        return roots, c
     candidates = sorted({Fraction(s * p, q) for p in nums for q in dens for s in (1, -1)})
     for cand in candidates:
-        if len(coeffs) > 1 and _eval(coeffs, cand) == 0:
+        if len(c) > 1 and _sign_at(c, cand) == 0:
             roots.append(cand)
-            coeffs = _divide_out_root(coeffs, cand)
-    return roots, coeffs
+            c = _div_exact(c, [-cand.numerator, cand.denominator])
+    return roots, c
 
 
 @dataclass(frozen=True)
@@ -271,9 +272,6 @@ class AlgebraicNumber:
             raise ValueError("not in rational encoding")
         return Fraction(-self.coeffs[0], self.coeffs[1])
 
-    def defining_poly(self) -> Poly:
-        return Poly(1, {(i,): c for i, c in enumerate(self.coeffs)})
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
@@ -284,11 +282,11 @@ class AlgebraicNumber:
             w = self.width() / 4
             return AlgebraicNumber(self.coeffs, q - w, q + w)
         mid = (self.lo + self.hi) / 2
-        vm = _eval(self.coeffs, mid)
-        if vm == 0:
+        sm = _sign_at(self.coeffs, mid)
+        if sm == 0:
             w = min(mid - self.lo, self.hi - mid) / 2
             return AlgebraicNumber((-mid.numerator, mid.denominator), mid - w, mid + w)
-        if (vm > 0) == (_eval(self.coeffs, self.lo) > 0):
+        if (sm > 0) == (_sign_at(self.coeffs, self.lo) > 0):
             return AlgebraicNumber(self.coeffs, mid, self.hi)
         return AlgebraicNumber(self.coeffs, self.lo, mid)
 
@@ -321,22 +319,22 @@ def sign_at(u: Sequence, alpha: AlgebraicNumber) -> int:
 
     Zero is certified through gcd(defining, u): the gcd has a root in alpha's
     interval iff its sign-variation count there is odd (it has at most one).
-    Nonzero signs come from interval refinement.
+    Nonzero signs come from interval refinement.  u holds int or Fraction
+    coefficients, low to high.
     """
-    u = _strip([Fraction(x) for x in u])
+    u = _primitive(_strip(list(u)))
     if not u:
         return 0
     if alpha.is_rational:
-        val = _eval(u, alpha.rational_value)
-        return (val > 0) - (val < 0)
+        return _sign_at(u, alpha.rational_value)
     if len(u) == 1:
         return 1 if u[0] > 0 else -1
     g = _uni_gcd(alpha.coeffs, u)
     if len(g) > 1:
-        va, vb = _eval(g, alpha.lo), _eval(g, alpha.hi)
-        if va == 0 or vb == 0:  # pragma: no cover - endpoints are non-roots of defining
+        sa, sb = _sign_at(g, alpha.lo), _sign_at(g, alpha.hi)
+        if sa == 0 or sb == 0:  # pragma: no cover - endpoints are non-roots of defining
             raise AssertionError("invalid isolating interval")
-        if (va > 0) != (vb > 0):
+        if sa != sb:
             return 0
     a = alpha
     while True:
@@ -348,23 +346,22 @@ def sign_at(u: Sequence, alpha: AlgebraicNumber) -> int:
             return -1
         a = a.refine_step()
         if a.is_rational:
-            val = _eval(u, a.rational_value)
-            return (val > 0) - (val < 0)
+            return _sign_at(u, a.rational_value)
 
 
-def _interval_eval_dense(u: Sequence[Fraction], lo: Fraction, hi: Fraction):
-    rlo, rhi = Fraction(0), Fraction(0)
+def _interval_eval_dense(u: Sequence[int], lo: Fraction, hi: Fraction):
+    rlo, rhi = 0, 0
     for i, c in enumerate(u):
         if c == 0:
             continue
         if i == 0:
-            plo, phi = Fraction(1), Fraction(1)
+            plo, phi = 1, 1
         elif i % 2 == 1 or lo >= 0:
             plo, phi = lo**i, hi**i
         elif hi <= 0:
             plo, phi = hi**i, lo**i
         else:
-            plo, phi = Fraction(0), max(lo**i, hi**i)
+            plo, phi = 0, max(lo**i, hi**i)
         if c > 0:
             rlo += c * plo
             rhi += c * phi
@@ -390,18 +387,18 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         return 1
     if a.is_rational:
         q = a.rational_value
-        if b.lo < q < b.hi and _eval([Fraction(x) for x in b.coeffs], q) == 0:
+        if b.lo < q < b.hi and _sign_at(b.coeffs, q) == 0:
             return 0
     elif b.is_rational:
         q = b.rational_value
-        if a.lo < q < a.hi and _eval([Fraction(x) for x in a.coeffs], q) == 0:
+        if a.lo < q < a.hi and _sign_at(a.coeffs, q) == 0:
             return 0
     else:
         g = list(a.coeffs) if a.coeffs == b.coeffs else _uni_gcd(a.coeffs, b.coeffs)
         if len(g) > 1:
             lo = max(a.lo, b.lo)
             hi = min(a.hi, b.hi)
-            if lo < hi and _descartes_count([Fraction(x) for x in g], lo, hi) % 2 == 1:
+            if lo < hi and _descartes_count(g, lo, hi) % 2 == 1:
                 return 0
     x, y = a, b
     while True:
@@ -447,8 +444,9 @@ def _make_disjoint(ordered: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
 def isolate_real_roots(p: Poly | Sequence, v: int | None = None) -> RootList:
     """All distinct real roots of p (via its square-free part), sorted.
 
-    Accepts a univariate Poly or a dense coefficient sequence.  Raises
-    ValueError on the zero polynomial.
+    Accepts a univariate Poly or a dense coefficient sequence (int or
+    rational coefficients, low to high).  Raises ValueError on the zero
+    polynomial.
     """
     if isinstance(p, Poly):
         c = dense_from_poly(p, v)
@@ -458,20 +456,16 @@ def isolate_real_roots(p: Poly | Sequence, v: int | None = None) -> RootList:
         raise ValueError("identically zero")
     if len(c) == 1:
         return RootList(())
-    ints = _clear_denoms(c)
-    g = _uni_gcd(ints, _deriv(ints))
+    c = _canonical(c)
+    g = _uni_gcd(c, _deriv(c))
     if len(g) > 1:
-        quotient = _exact_div_dense([Fraction(x) for x in ints], [Fraction(x) for x in g])
-        ints = _clear_denoms(quotient)
-    found: list[AlgebraicNumber] = []
-    rats, rest = _rational_roots(ints)
-    for r in rats:
-        found.append(AlgebraicNumber.from_rational(r))
-    work = _clear_denoms(rest)
-    if len(work) > 1:
-        defining = tuple(work)
-        poly = [Fraction(x) for x in work]
-        bound = _root_bound(work)
+        c = _div_exact(c, g)
+    # the divisors below are primitive with positive leads, so the working
+    # list stays canonical: it is the defining polynomial of every root found
+    rats, poly = _rational_roots(c)
+    found = [AlgebraicNumber.from_rational(r) for r in rats]
+    if len(poly) > 1:
+        bound = _root_bound(poly)
         stack = [(-bound, bound)]
         while stack:
             checkpoint()
@@ -481,29 +475,16 @@ def isolate_real_roots(p: Poly | Sequence, v: int | None = None) -> RootList:
                 continue
             if n == 1:
                 # bisection endpoints are never roots of the working poly
-                found.append(AlgebraicNumber(defining, a, b))
+                found.append(AlgebraicNumber(tuple(poly), a, b))
                 continue
             m = (a + b) / 2
-            if _eval(poly, m) == 0:
+            if _sign_at(poly, m) == 0:
                 # exact rational root hit mid-bisection; divide it out
                 found.append(AlgebraicNumber.from_rational(m))
-                poly = _exact_div_dense(poly, [-m, Fraction(1)])
-                defining = tuple(_clear_denoms(poly))
+                poly = _div_exact(poly, [-m.numerator, m.denominator])
             stack.append((a, m))
             stack.append((m, b))
     return RootList.make(found)
-
-
-def _exact_div_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    r = list(a)
-    for i in range(len(out) - 1, -1, -1):
-        k = r[len(b) - 1 + i] / b[-1]
-        out[i] = k
-        for j in range(len(b)):
-            r[i + j] -= k * b[j]
-    assert all(x == 0 for x in r), "inexact dense division"
-    return out
 
 
 def merge_distinct(roots: Iterable[AlgebraicNumber]) -> RootList:

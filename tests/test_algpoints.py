@@ -40,6 +40,15 @@ class TestSignAtPoint:
         p = Poly(3, {(1, 1, 1): 1, (0, 0, 0): -6})  # x*y*z - 6
         assert sign_at_point(p, (SQRT2, rat(3), SQRT2)) == 0
 
+    def test_variable_beyond_the_point_is_rejected(self):
+        # x0 - 5*x1 at a one-coordinate point has no sign; its x1 term must
+        # not be folded into the constant term of a univariate in x0
+        p = Poly(2, {(1, 0): 1, (0, 1): -5})
+        with pytest.raises(ValueError):
+            sign_at_point(p, (SQRT2,))
+        with pytest.raises(ValueError):
+            sign_at_point(p, (rat(1),))
+
 
 class TestRootsAbove:
     def test_rational_base(self):
@@ -61,6 +70,11 @@ class TestRootsAbove:
     def test_no_real_roots_above(self):
         p = Poly(2, {(0, 2): 1, (1, 0): 1})  # y^2 + x over x = sqrt2
         assert roots_above(p, (SQRT2,), 1) == []
+
+    def test_variable_beyond_the_lift_variable_is_rejected(self):
+        p = Poly(3, {(0, 1, 0): 1, (0, 0, 1): 1})  # y + z over a rational x
+        with pytest.raises(ValueError):
+            roots_above(p, (rat(1),), 1)
 
     def test_nullification_detected(self):
         p = Poly(2, {(1, 1): 1, (0, 1): -1})  # (x-1) * y

@@ -1,11 +1,15 @@
-"""Package-wide contracts: deadlines, the canonical polynomial key, exports."""
+"""Package-wide contracts: deadlines, the canonical polynomial key, exports,
+and static checks on the source (stdlib-only imports, a float-free kernel)."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +94,39 @@ MODULES = ["cadlab"] + [f"cadlab.{m.name}" for m in pkgutil.iter_modules(cadlab.
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+SRC = Path(cadlab.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_stdlib_or_cadlab(path):
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert roots - set(sys.stdlib_module_names) - {"cadlab"} == set()
+
+
+@pytest.mark.parametrize("module", ["polys", "realroots", "algpoints"])
+def test_kernel_has_no_floats(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    # AlgebraicNumber.approx is the one sanctioned exit to floating point
+    allowed = {
+        id(n)
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "AlgebraicNumber"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "approx"
+        for n in ast.walk(fn)
+    }
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in allowed and (
+            (isinstance(node, ast.Constant) and isinstance(node.value, float))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float")
+        )
+    ]
+    assert found == []

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadlab.polys import Poly
 from cadlab.realroots import (
@@ -137,6 +139,85 @@ class TestCompare:
             a, b, c = (rng.choice(pool) for _ in range(3))
             if compare(a, b) <= 0 and compare(b, c) <= 0:
                 assert compare(a, c) <= 0
+
+
+def _exact(roots):
+    return [(r.coeffs, r.lo, r.hi) for r in roots]
+
+
+M = 400000001
+F = Fraction
+
+# (coeffs low->high, isolation as (defining coeffs, lo, hi)).  Sector samples
+# in EC mode depend on these exact intervals, so any change here moves cell
+# counts and must come with re-recorded benchmark references.
+PINNED = [
+    # x^2 - 1: both roots found by the rational-root pre-pass
+    ([-1, 0, 1], [((1, 1), F(-2), F(0)), ((-1, 1), F(0), F(2))]),
+    # x^3 - 2x: the zero root plus an irrational pair
+    ([0, -2, 0, 1], [((-2, 0, 1), F(-3, 2), F(-3, 4)), ((0, 1), F(-1, 16), F(1, 16)),
+                     ((-2, 0, 1), F(3, 4), F(3, 2))]),
+    # (x - 1)(M x^2 - 2M x + M - 1): leading coefficient past the trial cap,
+    # so the root 1 is a mid-bisection hit
+    ([-(M - 1), 3 * M - 1, -3 * M, M],
+     [((M - 1, -2 * M, M), F(16383, 16384), F(32767, 32768)),
+      ((-1, 1), F(1073741823, 1073741824), F(1073741825, 1073741824)),
+      ((M - 1, -2 * M, M), F(32769, 32768), F(16385, 16384))]),
+    # (x - 1)(x - 400000009): constant term past the trial cap, so both
+    # rational roots stay interval-encoded
+    ([400000009, -400000010, 1],
+     [((400000009, -400000010, 1), F(0), F(400000011, 2)),
+      ((400000009, -400000010, 1), F(400000011, 2), F(400000011))]),
+    # x^2/2 - 1/3 and (x - 1/2)(x - 2/3) with Fraction coefficients
+    ([F(-1, 3), 0, F(1, 2)], [((-2, 0, 3), F(-2), F(0)), ((-2, 0, 3), F(0), F(2))]),
+    ([F(1, 3), F(-7, 6), 1], [((-1, 2), F(7, 16), F(9, 16)), ((-2, 3), F(29, 48), F(35, 48))]),
+    # negative leading coefficients
+    ([3, 0, -1], [((-3, 0, 1), F(-4), F(0)), ((-3, 0, 1), F(0), F(4))]),
+    ([-2, 1, 2, -1], [((1, 1), F(-2), F(0)), ((-1, 1), F(1, 2), F(3, 2)),
+                      ((-2, 1), F(3, 2), F(5, 2))]),
+]
+
+
+class TestPinnedIsolation:
+    @pytest.mark.parametrize("coeffs, expected", PINNED)
+    def test_intervals_are_pinned(self, coeffs, expected):
+        assert _exact(isolate_real_roots(coeffs)) == expected
+        assert _exact(isolate_real_roots(U(coeffs))) == expected
+
+    @given(
+        st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1] != 0),
+        st.fractions().filter(lambda s: s != 0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rational_multiples_isolate_alike(self, c, s):
+        roots = isolate_real_roots(c)
+        scaled = [s * x for x in c]
+        assert _exact(isolate_real_roots(scaled)) == _exact(roots)
+        sign_s = 1 if s > 0 else -1
+        for alpha in [*roots, SQRT2, AlgebraicNumber.from_rational(F(-1, 3))]:
+            assert sign_at(scaled, alpha) == sign_s * sign_at(c, alpha)
+
+
+def test_sympy_oracle_agreement_seeded():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(7)
+    for _ in range(120):
+        c = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 9)]
+        for _ in range(rng.randint(0, 3)):
+            # plant a rational root num/den
+            num, den = rng.randint(-6, 6), rng.randint(1, 4)
+            c = [a * den - b * num for a, b in zip([0] + c, c + [0])]
+        ours = list(isolate_real_roots(c))
+        theirs = sympy.real_roots(sympy.Poly(list(reversed(c)), x))
+        distinct = list(dict.fromkeys(theirs))
+        assert len(ours) == len(distinct), c
+        for r in distinct:
+            inside = [a for a in ours if sympy.Rational(a.lo) < r < sympy.Rational(a.hi)]
+            assert len(inside) == 1, (c, r)
+            if r.is_Rational:
+                # every coefficient here is far inside the rational-root trial cap
+                assert inside[0].is_rational and inside[0].rational_value == F(r.p, r.q), (c, r)
 
 
 class TestCount:
