@@ -10,14 +10,13 @@ from .heuristics import (
     order_by_fulldim,
     order_by_ndrr,
     order_by_sotd,
-    sotd_value,
     tnoi,
 )
 from .ordering import QuantifierBlock, VarOrdering, admissible_orderings
 from .polys import Poly, degree_stats, discriminant, resultant, squarefree_primitive_basis
 from .probjson import emit_json, parse_json
 from .problem import Problem
-from .projection import mccallum_project, projection_levels, reduced_ec_project
+from .projection import mccallum_project, projection_levels, reduced_ec_project, sotd_value
 from .randgen import RandomProfile, random_problems
 from .realroots import (
     AlgebraicNumber,

@@ -5,17 +5,20 @@ variables 0..k-1 (callers relabel variables into lifting order first).  Two
 primitives drive the lifting phase:
 
 * :func:`sign_at_point`: exact sign of a polynomial at a sample.  Rational
-  coordinates are substituted outright; a single algebraic coordinate reduces
-  to a univariate sign (gcd certificate for zero, interval refinement
-  otherwise); several algebraic coordinates use adaptive interval refinement
-  with an exact fallback that eliminates coordinates by resultants against a
-  carrier z - p and locates p(sample) among the eliminant's real roots.
+  coordinates are substituted outright, then one refinement loop decides:
+  it narrows every interval until the enclosure of the value excludes zero,
+  substitutes a coordinate that turns rational, and hands a last algebraic
+  coordinate to :func:`realroots.sign_at` (gcd certificate for zero).  After
+  a fixed number of undecided rounds it eliminates the coordinates from a
+  carrier z - p by resultants; a lower bound on the nonzero roots of that
+  eliminant lets an enclosure certify zero.
 
 * :func:`roots_above`: the real roots of p(sample, v) as algebraic numbers.
   Candidates come from iterated resultants against the coordinates' defining
   polynomials; genuine section roots are selected by endpoint sign changes
   when the substituted polynomial is provably square-free (leading-coefficient
-  and discriminant signs at the sample), falling back to exact zero tests.
+  and discriminant signs at the sample), falling back to exact zero tests in
+  the same refinement loop.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .realroots import AlgebraicNumber, _sign_at, dense_from_poly, isolate_real_
 __all__ = ["sign_at_point", "roots_above", "Nullified"]
 
 _REFINE_ROUNDS_BEFORE_EXACT = 24
+# with the root gap known, one of the loop's exits fires long before this
+_MAX_ROUNDS = 4096
 
 
 class Nullified(Exception):
@@ -51,104 +56,81 @@ def _split_coords(
 
 def sign_at_point(p: Poly, point: Sequence[AlgebraicNumber]) -> int:
     """Exact sign of p at the sample point (coordinates are variables 0..k-1)."""
+    if any(p.contains_var(v) for v in range(len(point), p.nvars)):
+        raise ValueError("polynomial has a variable beyond the sample point")
     rational, algebraic = _split_coords(point)
-    q = p.substitute(rational) if rational else p
-    live = [i for i in algebraic if q.contains_var(i)]
-    if not live:
-        val = q.constant_value()
-        return (val > 0) - (val < 0)
-    if len(live) == 1:
-        v = live[0]
-        return sign_at(dense_from_poly(q, v), algebraic[v])
-    return _sign_multi(q, {i: algebraic[i] for i in live})
+    return _refined_sign(p.substitute(rational) if rational else p, algebraic)
 
 
-def _sign_multi(q: Poly, coords: dict[int, AlgebraicNumber]) -> int:
-    # adaptive interval refinement first; exact elimination only when the
-    # enclosure keeps straddling zero
-    boxes = dict(coords)
-    for _ in range(_REFINE_ROUNDS_BEFORE_EXACT):
+def _refined_sign(
+    q: Poly, coords: dict[int, AlgebraicNumber], gap: Fraction | None = None
+) -> int:
+    """Sign of q at the algebraic coordinates; q has no other variable.
+
+    Each round narrows every live interval.  A coordinate that turns rational
+    is substituted and the round count starts again.  After
+    ``_REFINE_ROUNDS_BEFORE_EXACT`` undecided rounds the root gap of the
+    eliminant of z - q is computed, unless the caller passed it: q(coords) is
+    a root of that eliminant, so an enclosure inside (-gap, gap) certifies
+    zero.
+    """
+    rounds = 0
+    while True:
+        coords = {i: a for i, a in coords.items() if q.contains_var(i)}
+        if not coords:
+            val = q.constant_value()
+            return (val > 0) - (val < 0)
+        if len(coords) == 1:
+            ((v, a),) = coords.items()
+            return sign_at(dense_from_poly(q, v), a)
         checkpoint()
-        box = {i: (a.lo, a.hi) for i, a in boxes.items()}
-        lo, hi = q.interval_eval(box)
+        lo, hi = q.interval_eval({i: (a.lo, a.hi) for i, a in coords.items()})
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        boxes = {i: a.refine_step() for i, a in boxes.items()}
-        newly_rational = {i: a.rational_value for i, a in boxes.items() if a.is_rational}
-        if newly_rational:
-            q2 = q.substitute(newly_rational)
-            rest = {i: a for i, a in boxes.items() if not a.is_rational and q2.contains_var(i)}
-            if not rest:
-                val = q2.constant_value()
-                return (val > 0) - (val < 0)
-            if len(rest) == 1:
-                ((v, a),) = rest.items()
-                return sign_at(dense_from_poly(q2, v), a)
-            return _sign_multi(q2, rest)
-    return _sign_exact(q, boxes)
+        if gap is None and rounds == _REFINE_ROUNDS_BEFORE_EXACT:
+            gap = _root_gap(_carrier(q, coords), q.nvars)
+        if gap is not None and -gap < lo and hi < gap:
+            return 0
+        if rounds == _MAX_ROUNDS:
+            raise AssertionError("eliminant lost the sample value")
+        rounds += 1
+        coords = {i: a.refine_step() for i, a in coords.items()}
+        rational = {i: a.rational_value for i, a in coords.items() if a.is_rational}
+        if rational:
+            q = q.substitute(rational)
+            rounds = 0
 
 
-def _sign_exact(q: Poly, coords: dict[int, AlgebraicNumber]) -> int:
-    """Exact sign via a z - q carrier: eliminate the coordinates, then decide.
+def _carrier(q: Poly, coords: dict[int, AlgebraicNumber]) -> Poly:
+    """z - q, with z a new last variable, and the coordinates eliminated from it.
 
-    q(coords) is a real root of the eliminant, so a lower bound on the
-    magnitude of the eliminant's nonzero roots turns interval refinement into
-    a decision procedure: an enclosure inside the root gap certifies zero, an
-    enclosure excluding zero certifies the sign.  No root isolation needed.
+    The result vanishes at z = q(coords) in the remaining variables.
     """
     nv = q.nvars + 1
-    z = q.nvars
-    carrier = Poly.var(nv, z) - Poly(nv, {e + (0,): c for e, c in q.terms.items()})
-    g = carrier
+    g = Poly.var(nv, q.nvars) - Poly(nv, {e + (0,): c for e, c in q.terms.items()})
     for v, alpha in sorted(coords.items()):
         g, _split = _eliminate_coordinate(g, v, alpha)
-    return _sign_from_eliminant(q, coords, dense_from_poly(g, z))
+    return g
 
 
-def _nonzero_root_gap(eliminant: list[int]) -> Fraction | None:
-    """Magnitude bound: every nonzero root r has |r| >= the returned gap.
+def _root_gap(eliminant: Poly, z: int) -> Fraction:
+    """Magnitude bound: every nonzero root r of the eliminant has |r| >= the gap.
 
-    Returns None when the eliminant has no root at zero (value cannot be 0).
+    Returns 0 when zero is not a root (the value cannot be 0, and no enclosure
+    certifies it).
     """
+    c = dense_from_poly(eliminant, z)
     k = 0
-    while k < len(eliminant) and eliminant[k] == 0:
+    while k < len(c) and c[k] == 0:
         k += 1
     if k == 0:
-        return None
-    h = eliminant[k:]
+        return Fraction(0)
+    h = c[k:]
     lead = abs(h[0])
     peak = max(abs(x) for x in h)
     return Fraction(lead, lead + peak)
-
-
-def _sign_from_eliminant(
-    q: Poly, coords: dict[int, AlgebraicNumber], eliminant: list[int]
-) -> int:
-    gap = _nonzero_root_gap(eliminant)
-    boxes = dict(coords)
-    for _ in range(4096):
-        checkpoint()
-        box = {i: (a.lo, a.hi) for i, a in boxes.items()}
-        lo, hi = q.interval_eval(box)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if gap is not None and -gap < lo and hi < gap:
-            return 0
-        boxes = {i: a.refine_step() for i, a in boxes.items()}
-        rational = {i: a.rational_value for i, a in boxes.items() if a.is_rational}
-        if rational:
-            q = q.substitute(rational)
-            boxes = {i: a for i, a in boxes.items() if not a.is_rational and q.contains_var(i)}
-            if not boxes:
-                val = q.constant_value()
-                return (val > 0) - (val < 0)
-    # the sample value is a root of the eliminant, so one of the exits above
-    # fires; running out of rounds means that invariant was violated
-    raise AssertionError("eliminant lost the sample value")
 
 
 def _eliminate_coordinate(
@@ -243,12 +225,8 @@ def roots_above(
         # exact zero tests against a z - p carrier; the base-coordinate
         # elimination prefix and per-defining eliminants are shared across
         # the candidates
-        nv2 = trunc.nvars + 1
+        prefix = _carrier(trunc, coords)
         z = trunc.nvars
-        carrier = Poly.var(nv2, z) - Poly(nv2, {e + (0,): c for e, c in trunc.terms.items()})
-        prefix = carrier
-        for i, alpha in sorted(coords.items()):
-            prefix, _ = _eliminate_coordinate(prefix, i, alpha)
         cache: dict = {}
         for beta in candidates:
             checkpoint()
@@ -259,7 +237,7 @@ def roots_above(
                     cache[beta.coeffs] = g
             full = dict(coords)
             full[v] = beta
-            if _sign_from_eliminant(trunc, full, dense_from_poly(g, z)) == 0:
+            if _refined_sign(trunc, full, _root_gap(g, z)) == 0:
                 out.append((beta, False))
         return out
     for beta in candidates:

@@ -14,22 +14,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .algpoints import Nullified, roots_above, sign_at_point
 from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
-from .formulas import Formula, atom_polys, evaluate_signs
+from .formulas import (
+    ECDesignation,
+    Formula,
+    atom_polys,
+    enumerate_designations,
+    evaluate_signs,
+    identify_ecs,
+    propagate_ecs,
+    score_designation,
+)
 from .ordering import VarOrdering
 from .polys import Poly, distinct_normalized
 from .projection import ProjectionLevels, projection_levels
-from .realroots import (
-    AlgebraicNumber,
-    _make_disjoint,
-    compare,
-    isolate_real_roots,
-    merge_distinct,
-)
+from .realroots import AlgebraicNumber, _merge_roots, isolate_real_roots, merge_distinct
 
 __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_fulldim",
            "evaluate_formula_on_cells"]
@@ -86,7 +88,7 @@ def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
     simply contribute no sections (their sign is 0 across the stack).
     """
     v = len(base.sample)
-    sections: list[tuple[AlgebraicNumber, set[int]]] = []
+    found: list[tuple[AlgebraicNumber, int]] = []
     nullified: set[int] = set()
     for idx, p in enumerate(polys):
         checkpoint()
@@ -96,8 +98,7 @@ def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
             # handled at the level where its own main variable is lifted
             continue
         try:
-            for root, _simple in roots_above(p, base.sample, v):
-                _insert_root(sections, root, idx)
+            found.extend((root, idx) for root, _simple in roots_above(p, base.sample, v))
         except Nullified:
             if base.dimension > 0:
                 raise NotWellOrientedError(
@@ -105,9 +106,8 @@ def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
                     f"positive-dimensional cell {base.index}"
                 )
             nullified.add(idx)
-    by_value = cmp_to_key(compare)
-    sections.sort(key=lambda s: by_value(s[0]))
-    roots = _make_disjoint([r for r, _ in sections])
+    # owners[i]: the polynomials vanishing on section i
+    roots, owners = _merge_roots(found)
     samples = sector_points(roots)
     cells: list[Cell] = []
     for i, root in enumerate(roots):
@@ -118,7 +118,7 @@ def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
         )
         cells.append(
             Cell(base.index + (2 * i + 2,), base.sample + (root,),
-                 zero_polys=frozenset(sections[i][1] | nullified))
+                 zero_polys=frozenset(owners[i] | nullified))
         )
     last = AlgebraicNumber.from_rational(samples[-1])
     cells.append(
@@ -126,16 +126,6 @@ def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
              zero_polys=frozenset(nullified))
     )
     return Stack(base, cells)
-
-
-def _insert_root(sections: list[tuple[AlgebraicNumber, set[int]]], root, idx) -> None:
-    for i, (r, owners) in enumerate(sections):
-        if compare(r, root) == 0:
-            owners.add(idx)
-            if root.is_rational and not r.is_rational:
-                sections[i] = (root, owners)
-            return
-    sections.append((root, {idx}))
 
 
 @dataclass
@@ -278,8 +268,6 @@ def _choose_designation(
     With no equational constraints the mapping is empty (degenerates to the
     sign-invariant build).
     """
-    from .formulas import enumerate_designations, identify_ecs, propagate_ecs, score_designation
-
     if formula is None:
         ecs = list(relabeled)  # a bare polynomial set is read as a conjunction of = 0
     else:
@@ -289,7 +277,7 @@ def _choose_designation(
         return {}, "none"
     candidates = propagate_ecs(ecs, identity)
     if requested is not None:
-        top = [p for p in candidates[-1]]
+        top = candidates[-1]
         if isinstance(requested, int):
             if not 0 <= requested < len(top):
                 raise ValueError(f"designation index {requested} out of range")
@@ -298,30 +286,27 @@ def _choose_designation(
             chosen_top = requested.permute_vars(perm).normalized()
             if chosen_top not in top:
                 raise ValueError("designated EC missing")
-        per_level: list[Poly | None] = []
-        for k, level in enumerate(candidates, start=1):
-            if k == identity.nvars:
-                per_level.append(chosen_top)
-            else:
-                per_level.append(level[0] if level else None)
-        mapping = {k + 1: p for k, p in enumerate(per_level) if p is not None}
-        return mapping, _label(mapping, identity.nvars)
-    designs = enumerate_designations(candidates)
-    best = None
-    for d in designs:
-        try:
-            score = score_designation(relabeled, d, identity, measure="sotd")
-        except ValueError:
-            continue
-        if best is None or score < best[0]:
-            best = (score, d)
-    if best is None:
-        return {}, "none"
-    mapping = best[1].as_mapping()
-    return mapping, _label(mapping, identity.nvars)
+        # the requested EC on top, the first candidate on every level below
+        designation = ECDesignation(
+            tuple(level[0] if level else None for level in candidates[:-1]) + (chosen_top,)
+        )
+    else:
+        best = None
+        for d in enumerate_designations(candidates):
+            try:
+                score = score_designation(relabeled, d, identity, measure="sotd")
+            except ValueError:
+                continue
+            if best is None or score < best[0]:
+                best = (score, d)
+        if best is None:
+            return {}, "none"
+        designation = best[1]
+    mapping = designation.as_mapping()
+    return mapping, _label(mapping)
 
 
-def _label(mapping: dict[int, Poly], n: int) -> str:
+def _label(mapping: dict[int, Poly]) -> str:
     if not mapping:
         return "none"
     return ";".join(f"L{k}" for k in sorted(mapping))
@@ -349,7 +334,7 @@ def open_cad_fulldim(A: Iterable[Poly], ordering: VarOrdering) -> int:
                     continue
                 roots.extend(isolate_real_roots(q, v))
             merged = merge_distinct(roots)
-            for point in sector_points(list(merged)):
+            for point in sector_points(merged):
                 next_samples.append(s + (point,))
         samples = next_samples
     return len(samples)

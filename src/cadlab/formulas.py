@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DesignationCapError
 from .ordering import VarOrdering
 from .polys import Poly, _poly_sort_key, distinct_normalized, resultant, squarefree_part
-from .projection import projection_levels
+from .projection import projection_levels, sotd_value
 from .realroots import count_distinct_real_roots
 
 __all__ = [
@@ -262,8 +262,6 @@ def score_designation(
     Designations apply the reduced operator at their levels (level 1 carries
     no projection, so its designation is inert).  Projection errors propagate.
     """
-    from .heuristics import sotd_value
-
     mapping = {k: p for k, p in designation.as_mapping().items() if k >= 2}
     levels = projection_levels(A, ordering, designations=mapping)
     if measure == "sotd":

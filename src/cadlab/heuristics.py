@@ -18,7 +18,7 @@ from .errors import Deadline, checkpoint, scoped_deadline
 from .groebner import MonomialOrder, buchberger
 from .ordering import QuantifierBlock, VarOrdering, admissible_orderings, ordering_segments
 from .polys import Poly, degree_stats
-from .projection import ProjectionLevels, mccallum_project, projection_levels
+from .projection import mccallum_project, projection_levels, sotd_value
 from .realroots import count_distinct_real_roots
 
 __all__ = [
@@ -70,16 +70,6 @@ def brown_order(
         (f"x{v}", stats[v].as_tuple()) for v in range(nvars)
     )
     return HeuristicReport("brown", chosen, table)
-
-
-def sotd_value(levels: ProjectionLevels) -> int:
-    """Sum of total degrees of every monomial at every level, input included."""
-    total = 0
-    for level in levels.levels:
-        for p in level:
-            for exps in p.terms:
-                total += sum(exps)
-    return total
 
 
 def _argmin_over_orderings(

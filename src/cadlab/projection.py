@@ -26,7 +26,13 @@ from .polys import (
     squarefree_primitive_basis,
 )
 
-__all__ = ["ProjectionLevels", "mccallum_project", "reduced_ec_project", "projection_levels"]
+__all__ = [
+    "ProjectionLevels",
+    "mccallum_project",
+    "reduced_ec_project",
+    "projection_levels",
+    "sotd_value",
+]
 
 
 def _emit(collected: set[Poly], p: Poly) -> None:
@@ -107,6 +113,16 @@ class ProjectionLevels:
 
     def univariate_level(self) -> tuple[Poly, ...]:
         return self.levels[0]
+
+
+def sotd_value(levels: ProjectionLevels) -> int:
+    """Sum of total degrees of every monomial at every level, input included."""
+    total = 0
+    for level in levels.levels:
+        for p in level:
+            for exps in p.terms:
+                total += sum(exps)
+    return total
 
 
 def projection_levels(

@@ -6,6 +6,12 @@ the square-free part; every real root comes back as an :class:`AlgebraicNumber`
 rational non-root endpoints).  Rational roots found exactly are stored with the
 degenerate linear encoding ``den*v - num``.
 
+Root sets are plain tuples, strictly increasing with pairwise-disjoint
+intervals.  :func:`isolate_real_roots`, :func:`merge_distinct` and the
+lifting stacks all go through one pass, ``_merge_roots``, that sorts by
+:func:`compare`, merges equal roots (keeping a rational encoding) and refines
+neighbours apart.
+
 Inside this module a univariate polynomial is a dense list of ``int``
 coefficients, low to high, with content 1 (a positive rational multiple of the
 polynomial it stands for, so roots and signs are unchanged).  Rationals enter
@@ -27,7 +33,6 @@ from .polys import Poly
 
 __all__ = [
     "AlgebraicNumber",
-    "RootList",
     "isolate_real_roots",
     "refine",
     "compare",
@@ -411,38 +416,10 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         y = y.refine_step()
 
 
-@dataclass(frozen=True)
-class RootList:
-    """Strictly increasing real roots with pairwise-disjoint intervals."""
-
-    roots: tuple[AlgebraicNumber, ...]
-
-    @classmethod
-    def make(cls, roots: Iterable[AlgebraicNumber]) -> RootList:
-        return cls(tuple(_make_disjoint(sorted(roots, key=cmp_to_key(compare)))))
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __getitem__(self, i):
-        return self.roots[i]
-
-
-def _make_disjoint(ordered: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
-    """Refine neighbours of an increasing root list until their intervals are disjoint."""
-    out = list(ordered)
-    for i in range(len(out) - 1):
-        while out[i].hi > out[i + 1].lo:
-            out[i] = out[i].refine_step()
-            out[i + 1] = out[i + 1].refine_step()
-    return out
-
-
-def isolate_real_roots(p: Poly | Sequence, v: int | None = None) -> RootList:
-    """All distinct real roots of p (via its square-free part), sorted.
+def isolate_real_roots(
+    p: Poly | Sequence, v: int | None = None
+) -> tuple[AlgebraicNumber, ...]:
+    """All distinct real roots of p (via its square-free part), sorted, as a tuple.
 
     Accepts a univariate Poly or a dense coefficient sequence (int or
     rational coefficients, low to high).  Raises ValueError on the zero
@@ -455,7 +432,7 @@ def isolate_real_roots(p: Poly | Sequence, v: int | None = None) -> RootList:
     if not c:
         raise ValueError("identically zero")
     if len(c) == 1:
-        return RootList(())
+        return ()
     c = _canonical(c)
     g = _uni_gcd(c, _deriv(c))
     if len(g) > 1:
@@ -484,20 +461,41 @@ def isolate_real_roots(p: Poly | Sequence, v: int | None = None) -> RootList:
                 poly = _div_exact(poly, [-m.numerator, m.denominator])
             stack.append((a, m))
             stack.append((m, b))
-    return RootList.make(found)
+    return _merge_roots((r, None) for r in found)[0]
 
 
-def merge_distinct(roots: Iterable[AlgebraicNumber]) -> RootList:
-    """Sorted union with exact dedup of equal roots."""
-    ordered = sorted(roots, key=cmp_to_key(compare))
-    out: list[AlgebraicNumber] = []
-    for r in ordered:
-        if out and compare(out[-1], r) == 0:
-            if r.is_rational and not out[-1].is_rational:
-                out[-1] = r
+def merge_distinct(roots: Iterable[AlgebraicNumber]) -> tuple[AlgebraicNumber, ...]:
+    """Sorted union with exact dedup of equal roots, intervals pairwise disjoint."""
+    return _merge_roots((r, None) for r in roots)[0]
+
+
+def _merge_roots(
+    tagged: Iterable[tuple[AlgebraicNumber, object]],
+) -> tuple[tuple[AlgebraicNumber, ...], list[set]]:
+    """The one path that sorts, dedupes and separates real roots.
+
+    Takes (root, tag) pairs and returns the distinct roots, strictly
+    increasing with pairwise-disjoint intervals, plus the set of tags of each.
+    Equal roots keep the first rational encoding among them, else the first
+    one, in input order.
+    """
+    by_value = cmp_to_key(compare)
+    roots: list[AlgebraicNumber] = []
+    tags: list[set] = []
+    for r, tag in sorted(tagged, key=lambda rt: by_value(rt[0])):
+        if roots and compare(roots[-1], r) == 0:
+            tags[-1].add(tag)
+            if r.is_rational and not roots[-1].is_rational:
+                roots[-1] = r
             continue
-        out.append(r)
-    return RootList.make(out)
+        roots.append(r)
+        tags.append({tag})
+    # refine neighbours until their intervals are disjoint
+    for i in range(len(roots) - 1):
+        while roots[i].hi > roots[i + 1].lo:
+            roots[i] = roots[i].refine_step()
+            roots[i + 1] = roots[i + 1].refine_step()
+    return tuple(roots), tags
 
 
 def count_distinct_real_roots(A: Iterable[Poly], v: int | None = None) -> int:

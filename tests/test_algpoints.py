@@ -48,6 +48,20 @@ class TestSignAtPoint:
             sign_at_point(p, (SQRT2,))
         with pytest.raises(ValueError):
             sign_at_point(p, (rat(1),))
+        # the same check holds with two live algebraic coordinates
+        x0x1_minus_x2 = Poly(3, {(1, 1, 0): 1, (0, 0, 1): -1})
+        with pytest.raises(ValueError):
+            sign_at_point(x0x1_minus_x2, (SQRT2, SQRT3))
+
+    def test_coordinate_turning_rational_during_refinement(self):
+        # the root 1/2 of (2x - 1)(x^2 - 2), isolated in (0, 1): the first
+        # bisection hits 1/2 exactly, so the refinement loop substitutes it
+        # and decides the rest with one algebraic coordinate
+        half = AlgebraicNumber((2, -4, -1, 2), Fraction(0), Fraction(1))
+        assert not half.is_rational and half.refine_step().is_rational
+        pt = (half, SQRT2)
+        assert sign_at_point(Poly(2, {(1, 2): 1, (0, 0): -1}), pt) == 0  # x0*x1^2 - 1
+        assert sign_at_point(Poly(2, {(1, 2): 1, (0, 0): -2}), pt) == -1  # x0*x1^2 - 2
 
 
 class TestRootsAbove:

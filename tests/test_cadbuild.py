@@ -19,7 +19,12 @@ from cadlab.ordering import VarOrdering
 from cadlab.polys import Poly
 from cadlab.problem import Problem
 from cadlab.randgen import RandomProfile, random_problems
-from cadlab.realroots import AlgebraicNumber, compare, count_distinct_real_roots
+from cadlab.realroots import (
+    AlgebraicNumber,
+    compare,
+    count_distinct_real_roots,
+    isolate_real_roots,
+)
 
 XY = VarOrdering((0, 1))
 YX = VarOrdering((1, 0))
@@ -73,6 +78,41 @@ class TestBuildStack:
         stack = build_stack(base, [p])
         assert len(stack.cells) == 1
         assert stack.cells[0].zero_polys == {0}
+
+
+class TestRootMerge:
+    # p = (x - 1)(x^2 - 400000001): its constant term is past the capped
+    # rational-root search, so isolation leaves the root 1 interval-encoded;
+    # q = x - 1 supplies the rational encoding of the same root
+    X = Poly.var(1, 0)
+    P_CAPPED = (X - Poly.const(1, 1)) * (X * X - Poly.const(1, 400000001))
+    Q_LINEAR = X - Poly.const(1, 1)
+
+    # (coeffs, lo, hi) of every cell sample; sector samples steer EC-mode counts
+    SAMPLES = [
+        ((400000002, 1), -400000003, -400000001),
+        ((400000001, -400000001, -1, 1), -400000002, 0),
+        ((0, 1), -1, 1),
+        ((-1, 1), 0, 2),
+        ((-200032769, 32768), Fraction(200000001, 32768), Fraction(200065537, 32768)),
+        ((400000001, -400000001, -1, 1), Fraction(200000001, 16384), Fraction(200000001, 8192)),
+        ((-24415, 1), 24414, 24416),
+    ]
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["p_first", "q_first"])
+    def test_equal_roots_merge_into_the_rational_encoding(self, swap):
+        assert not any(r.is_rational for r in isolate_real_roots(self.P_CAPPED))
+        polys = [self.Q_LINEAR, self.P_CAPPED] if swap else [self.P_CAPPED, self.Q_LINEAR]
+        stack = build_stack(Cell((), ()), polys)
+        assert [c.index for c in stack.cells] == [(i,) for i in range(1, 8)]
+        assert [(c.sample[0].coeffs, c.sample[0].lo, c.sample[0].hi)
+                for c in stack.cells] == self.SAMPLES
+        assert stack.cells[3].sample[0].rational_value == 1
+        assert stack.cells[3].zero_polys == {0, 1}
+        assert stack.cells[4].sample[0].rational_value == Fraction(200032769, 32768)
+        p_index = polys.index(self.P_CAPPED)
+        assert stack.cells[1].zero_polys == stack.cells[5].zero_polys == {p_index}
+        assert all(not stack.cells[i].zero_polys for i in (0, 2, 4, 6))
 
 
 class TestSectorPoints:

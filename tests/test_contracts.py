@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import pkgutil
 import sys
 import time
@@ -94,6 +95,21 @@ MODULES = ["cadlab"] + [f"cadlab.{m.name}" for m in pkgutil.iter_modules(cadlab.
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+# perfbench's tracer wraps these names by attribute lookup; a rename or a
+# removal here would break its install() (the file is only read)
+SPEC = Path(__file__).resolve().parent.parent / "perfbench" / "spec.json"
+TRACED = [
+    (layer["module"], fn)
+    for layer in (json.loads(SPEC.read_text(encoding="utf-8"))["layers"] if SPEC.exists() else [])
+    for fn in layer["functions"]
+]
+
+
+@pytest.mark.parametrize("module,fn", TRACED, ids=[f"{m}.{f}" for m, f in TRACED])
+def test_traced_functions_are_callable(module, fn):
+    assert callable(getattr(importlib.import_module(f"cadlab.{module}"), fn, None))
 
 
 SRC = Path(cadlab.__file__).resolve().parent
