@@ -26,9 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .dense import dense_from_poly
 from .errors import checkpoint
 from .polys import Poly, _resultant_any, discriminant, divexact, poly_gcd, squarefree_part
-from .realroots import AlgebraicNumber, _sign_at, dense_from_poly, isolate_real_roots, sign_at
+from .realroots import AlgebraicNumber, _sign_at, isolate_real_roots, sign_at
 
 __all__ = ["sign_at_point", "roots_above", "Nullified"]
 
@@ -147,7 +148,7 @@ def _eliminate_coordinate(
     if not g.contains_var(v):
         return g, False
     nv = g.nvars
-    d = Poly(nv, {_unit_exps(nv, v, i): c for i, c in enumerate(alpha.coeffs)})
+    d = Poly.from_dense(nv, v, alpha.coeffs)
     split_carrier = False
     while True:
         w = poly_gcd(d, g)
@@ -172,12 +173,6 @@ def _eliminate_coordinate(
     return _resultant_any(d, g, v), split_carrier
 
 
-def _unit_exps(nvars: int, v: int, e: int) -> tuple[int, ...]:
-    out = [0] * nvars
-    out[v] = e
-    return tuple(out)
-
-
 def roots_above(
     p: Poly, point: Sequence[AlgebraicNumber], v: int
 ) -> list[tuple[AlgebraicNumber, bool]]:
@@ -188,15 +183,15 @@ def roots_above(
     """
     rational, algebraic = _split_coords(point)
     q = p.substitute(rational) if rational else p
-    if q.contains_var(v):
-        q = squarefree_part(q, v)
     live = [i for i in algebraic if q.contains_var(i)]
     if not live:
         if q.is_zero():
             raise Nullified()
         if not q.contains_var(v):
             return []
+        # isolation divides out gcd(q, q') itself
         return [(r, True) for r in isolate_real_roots(q, v)]
+    q = squarefree_part(q, v)
     coords = {i: algebraic[i] for i in live}
     # exact coefficient signs decide nullification and the true degree
     coeffs = q.coeffs_in(v)

@@ -12,6 +12,10 @@ Besides ring arithmetic this module provides the kernels the projection and
 preconditioning layers consume: pseudo-division, multivariate gcd (primitive
 PRS), resultants via the subresultant PRS, discriminants with a fixed sign
 normalization, square-free primitive bases, and per-variable degree statistics.
+A gcd whose arguments together involve one variable runs on dense integer
+lists, through the integer PRS that root isolation shares
+(:mod:`cadlab.dense`); contents and square-free parts reach it through
+:func:`poly_gcd`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+from .dense import _uni_gcd, dense_from_poly
 
 __all__ = [
     "Poly",
@@ -96,6 +102,19 @@ class Poly:
     @classmethod
     def one(cls, nvars: int) -> Poly:
         return cls.const(nvars, 1)
+
+    @classmethod
+    def from_dense(cls, nvars: int, v: int, coeffs: Sequence) -> Poly:
+        """The polynomial in variable v with coefficients ``coeffs``, low to high.
+
+        The inverse of ``dense.dense_from_poly`` up to a positive rational factor.
+        """
+        terms = {}
+        for k, c in enumerate(coeffs):
+            exps = [0] * nvars
+            exps[v] = k
+            terms[tuple(exps)] = c
+        return cls(nvars, terms)
 
     @classmethod
     def var(cls, nvars: int, index: int) -> Poly:
@@ -449,7 +468,12 @@ def primitive_part_in(p: Poly, v: int) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Multivariate gcd over Q, normalized; gcd with a nonzero constant is 1."""
+    """Multivariate gcd over Q, normalized; gcd with a nonzero constant is 1.
+
+    When p and q together involve one variable the gcd runs on primitive
+    integer lists; the canonical list (content 1, positive lead) is the
+    normalized gcd.
+    """
     if p.is_zero():
         return q.normalized()
     if q.is_zero():
@@ -458,6 +482,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return Poly.one(p.nvars)
     vs = sorted(set(p.variables()) | set(q.variables()))
     v = vs[-1]
+    if len(vs) == 1:
+        g = _uni_gcd(dense_from_poly(p, v), dense_from_poly(q, v))
+        return Poly.from_dense(p.nvars, v, g)
     if not p.contains_var(v):
         # q involves v, p does not: gcd divides content of q w.r.t. v
         return poly_gcd(p, content_in(q, v))

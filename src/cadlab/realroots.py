@@ -14,10 +14,12 @@ neighbours apart.
 
 Inside this module a univariate polynomial is a dense list of ``int``
 coefficients, low to high, with content 1 (a positive rational multiple of the
-polynomial it stands for, so roots and signs are unchanged).  Rationals enter
-once, at :func:`dense_from_poly` and the sequence inputs of
-:func:`isolate_real_roots` and :func:`sign_at`; interval endpoints and sample
-values are ``Fraction``.  Nothing here floats.
+polynomial it stands for, so roots and signs are unchanged).  The list helpers
+(``dense_from_poly``, ``_primitive``, ``_canonical``, the integer PRS
+``_uni_gcd``, ``_div_exact``) live in :mod:`cadlab.dense`, which ``polys``
+shares for its univariate gcds.  Rationals enter once, at ``dense_from_poly``
+and the sequence inputs of :func:`isolate_real_roots` and :func:`sign_at`;
+interval endpoints and sample values are ``Fraction``.  Nothing here floats.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
+from .dense import _canonical, _deriv, _div_exact, _primitive, _strip, _uni_gcd, dense_from_poly
 from .errors import checkpoint
 from .polys import Poly
 
@@ -42,45 +45,7 @@ __all__ = [
 ]
 
 
-# -- dense univariate helpers (primitive integer coefficient lists, low->high)
-
-
-def dense_from_poly(p: Poly, v: int | None = None) -> list[int]:
-    """Primitive integer coefficients of a positive multiple of a univariate p.
-
-    Raises ValueError when p involves any variable other than v.
-    """
-    vs = p.variables()
-    if len(vs) > 1:
-        raise ValueError("not univariate")
-    if v is None:
-        v = vs[0] if vs else 0
-    elif vs and vs[0] != v:
-        raise ValueError("not univariate in the requested variable")
-    out = [0] * (p.degree(v) + 1)
-    for exps, c in p.terms.items():
-        out[exps[v]] = c
-    return _primitive(_strip(out))
-
-
-def _strip(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _primitive(c: Sequence) -> list[int]:
-    """Integer coefficients with gcd 1 of a positive multiple of a rational list."""
-    lcm = math.lcm(*(x.denominator for x in c))
-    ints = [x.numerator * (lcm // x.denominator) for x in c]
-    g = math.gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
-
-
-def _canonical(c: Sequence) -> list[int]:
-    """The primitive list with a positive leading coefficient."""
-    out = _primitive(c)
-    return [-x for x in out] if out and out[-1] < 0 else out
+# -- signs, Descartes counts and bounds on primitive integer lists
 
 
 def _sign_at(c: Sequence[int], x) -> int:
@@ -92,40 +57,6 @@ def _sign_at(c: Sequence[int], x) -> int:
         acc = acc * num + k * scale
         scale *= den
     return (acc > 0) - (acc < 0)
-
-
-def _deriv(c: Sequence[int]) -> list[int]:
-    return [c[i] * i for i in range(1, len(c))]
-
-
-def _uni_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive-PRS gcd over the integers, positive leading coefficient.
-
-    Plain Euclidean remainders over Q suffer catastrophic coefficient growth
-    on the big eliminants the lifting phase produces; stripping the integer
-    content after every pseudo-remainder keeps the chain tractable.
-    """
-    fa = _canonical(a)
-    fb = _canonical(b)
-    while fb:
-        checkpoint()
-        fa, fb = fb, _primitive(_int_prem(fa, fb))
-    return _canonical(fa)
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Integer pseudo-remainder: lc(b)^k * a mod b, trailing zeros stripped."""
-    r = list(a)
-    db = len(b) - 1
-    lc = b[-1]
-    while r and len(r) - 1 >= db:
-        k = r[-1]
-        r = [x * lc for x in r[:-1]]
-        shift = len(r) - db
-        for i in range(db):
-            r[shift + i] -= k * b[i]
-        _strip(r)
-    return r
 
 
 def _variations(c: Iterable) -> int:
@@ -184,24 +115,6 @@ def _root_bound(c: Sequence[int]) -> Fraction:
     return Fraction(1 - (-m // abs(c[-1])))  # ceil(1 + m / |lc|)
 
 
-def _div_exact(a: list[int], b: list[int]) -> list[int]:
-    """Quotient a / b of integer lists; b must divide a.
-
-    The quotient is integral whenever b is primitive (Gauss's lemma), which
-    holds for every divisor here: gcds, and den*x - num for reduced num/den.
-    """
-    r = list(a)
-    db = len(b) - 1
-    out = [0] * (len(a) - db)
-    for i in range(len(out) - 1, -1, -1):
-        k = r[i + db] // b[-1]
-        out[i] = k
-        for j in range(db + 1):
-            r[i + j] -= k * b[j]
-    assert not any(r), "inexact dense division"
-    return out
-
-
 _TRIAL_CAP = 20000
 
 
@@ -238,6 +151,10 @@ def _rational_roots(c: list[int]) -> tuple[list[Fraction], list[int]]:
         c = c[1:]
     if len(c) <= 1:
         return roots, c
+    if len(c) == 2 and max(abs(c[0]), abs(c[1])) <= _TRIAL_CAP * _TRIAL_CAP:
+        # the divisor search would find exactly this root
+        r = Fraction(-c[0], c[1])
+        return roots + [r], _div_exact(c, [-r.numerator, r.denominator])
     nums = _small_divisors(c[0])
     dens = _small_divisors(c[-1])
     if nums is None or dens is None:

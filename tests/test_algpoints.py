@@ -108,6 +108,51 @@ class TestRootsAbove:
             assert compare(a, b) == 0
 
 
+X = Poly.var(2, 0)
+Y = Poly.var(2, 1)
+ONE = Poly.one(2)
+TWO = (rat(2),)
+
+
+def _exact(roots):
+    return [((r.coeffs, r.lo, r.hi), simple) for r, simple in roots]
+
+
+class TestRationalSample:
+    """With no algebraic coordinate live, the substituted polynomial goes to
+    root isolation as it is; the results below were recorded when it was
+    made square-free first."""
+
+    def test_repeated_factor_gives_each_root_once(self):
+        p = (Y - X) ** 2 * (Y + ONE)  # (y - 2)^2 (y + 1) at x = 2
+        assert _exact(roots_above(p, TWO, 1)) == [
+            (((1, 1), Fraction(-2), Fraction(0)), True),
+            (((-2, 1), Fraction(1), Fraction(3)), True),
+        ]
+
+    def test_identically_vanishing_is_nullified(self):
+        with pytest.raises(Nullified):
+            roots_above((X - ONE * 2) * Y, TWO, 1)
+
+    def test_free_of_the_lift_variable(self):
+        assert roots_above(X * X + ONE, TWO, 1) == []
+
+    def test_linear_factor_past_the_trial_cap_stays_interval_encoded(self):
+        # 800000002*y - 3: the denominator exceeds _TRIAL_CAP**2, so the
+        # root comes from bisection over the root bound, not from_rational
+        p = X * Y * 400000001 - ONE * 3
+        assert _exact(roots_above(p, TWO, 1)) == [
+            (((-3, 800000002), Fraction(-2), Fraction(2)), True),
+        ]
+
+    def test_linear_factor_at_the_trial_cap_is_solved(self):
+        p = Y * 400000000 - ONE * 7
+        assert _exact(roots_above(p, TWO, 1)) == [
+            (((-7, 400000000), Fraction(-399999993, 400000000),
+              Fraction(400000007, 400000000)), True),
+        ]
+
+
 class TestThreeVarBuild:
     def test_two_algebraic_base_coordinates(self):
         from cadlab.cadbuild import build_cad

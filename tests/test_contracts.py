@@ -126,7 +126,7 @@ def test_imports_are_stdlib_or_cadlab(path):
     assert roots - set(sys.stdlib_module_names) - {"cadlab"} == set()
 
 
-@pytest.mark.parametrize("module", ["polys", "realroots", "algpoints"])
+@pytest.mark.parametrize("module", ["dense", "polys", "realroots", "algpoints"])
 def test_kernel_has_no_floats(module):
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     # AlgebraicNumber.approx is the one sanctioned exit to floating point

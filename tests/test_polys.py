@@ -175,6 +175,119 @@ class TestGcd:
         assert squarefree_part(p, 1).normalized() == (X * (Y - Poly.one(2))).normalized()
 
 
+def U(coeffs, nvars=1, v=0):
+    """The polynomial in variable v of nvars with coefficients low to high."""
+    return Poly.from_dense(nvars, v, coeffs)
+
+
+def _typed(p):
+    """Terms with their coefficient types: an int and an equal Fraction differ here."""
+    return {e: (type(c).__name__, c) for e, c in p.terms.items()}
+
+
+def _ints(terms):
+    return {e: ("int", c) for e, c in terms.items()}
+
+
+F = Fraction
+# univariate gcds run on dense integer lists; these terms, types included, were
+# recorded with the generic primitive PRS: (p, q, poly_gcd(p, q),
+# squarefree_part(p * q) in p's variable)
+UNIVARIATE_PINS = {
+    "constant_gcd": (
+        U([1, 0, 1]), U([-3, 1]),
+        _ints({(0,): 1}),
+        _ints({(0,): -3, (1,): 1, (2,): -3, (3,): 1}),
+    ),
+    "fraction_coefficients": (
+        U([F(-1, 2), 0, F(1, 2)]), U([F(2, 3), F(2, 3)]),
+        _ints({(0,): 1, (1,): 1}),
+        {(0,): ("Fraction", F(-1, 3)), (2,): ("Fraction", F(1, 3))},
+    ),
+    "negative_leading_coefficients": (
+        U([6, 3, -3]), U([8, 0, -2]),
+        _ints({(0,): -2, (1,): 1}),
+        _ints({(0,): -24, (1,): -24, (2,): 6, (3,): 6}),
+    ),
+    "variable_2_of_3": (
+        U([-2, 3, 0, -1], 3, 2), U([-5, 4, 1], 3, 2),
+        _ints({(0, 0, 0): -1, (0, 0, 1): 1}),
+        _ints({(0, 0, 0): 10, (0, 0, 1): -3, (0, 0, 2): -6, (0, 0, 3): -1}),
+    ),
+    "larger_coefficients": (
+        U([-5, 0, 3]) * U([-11, 2, 0, 7]), U([-5, 0, 3]) * U([-9, 4]) ** 2,
+        _ints({(0,): -5, (2,): 3}),
+        _ints({(0,): -495, (1,): 310, (2,): 257, (3,): 129, (4,): -116, (5,): -189, (6,): 84}),
+    ),
+    "fractions_in_variable_1_of_2": (
+        U([F(-4, 3), 0, F(1, 3)], 2, 1) * U([F(1, 2), -1], 2, 1),
+        U([F(-2, 5), 0, 0, F(1, 10)], 2, 1),
+        _ints({(0, 0): 1}),
+        {(0, k): ("Fraction", c) for k, c in enumerate(
+            [F(4, 15), F(-8, 15), F(-1, 15), F(1, 15), F(2, 15), F(1, 60), F(-1, 30)])},
+    ),
+}
+
+
+class TestUnivariateGcdPins:
+    @pytest.mark.parametrize("name", sorted(UNIVARIATE_PINS))
+    def test_gcd_terms_and_types(self, name):
+        p, q, gcd, _ = UNIVARIATE_PINS[name]
+        assert _typed(poly_gcd(p, q)) == gcd
+        assert _typed(poly_gcd(q, p)) == gcd
+
+    @pytest.mark.parametrize("name", sorted(UNIVARIATE_PINS))
+    def test_squarefree_part_terms_and_types(self, name):
+        p, q, _, sqf = UNIVARIATE_PINS[name]
+        assert _typed(squarefree_part(p * q, p.variables()[0])) == sqf
+
+    @pytest.mark.parametrize("name", sorted(UNIVARIATE_PINS))
+    def test_content_in_own_and_other_variable(self, name):
+        p = UNIVARIATE_PINS[name][0]
+        v = p.variables()[0]
+        assert _typed(content_in(p, v)) == _ints({(0,) * p.nvars: 1})
+        if p.nvars > 1:
+            # free of the variable: the content is p itself, normalized
+            assert _typed(content_in(p, (v + 1) % p.nvars)) == _typed(p.normalized())
+
+    def test_content_with_univariate_inner_gcds(self):
+        one = Poly.one(2)
+        p = (X * X - one * 4) * Y * Y * 3 + (X - one * 2) * (X + one * 5) * Y * F(1, 2) \
+            - (X - one * 2) * 6
+        assert _typed(content_in(p, 1)) == _ints({(0, 0): -2, (1, 0): 1})
+        q = (X + one) * Y * (-2) + (X * X - one) * F(2, 3)
+        assert _typed(content_in(q, 1)) == _ints({(0, 0): 1, (1, 0): 1})
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_gcd_sympy_oracle_seeded(nvars):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{nvars}")
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+                    for exps, c in p.terms.items()), sympy.Integer(0))
+
+    def from_sympy(expr):
+        return Poly(nvars, {exps: Fraction(int(c.p), int(c.q))
+                            for exps, c in sympy.Poly(expr, *xs).terms()})
+
+    rng = random.Random(2024 + nvars)
+    done = 0
+    while done < 40:
+        # planted common factor c, with a rational scale on one side
+        a, b, c = (_random_poly(rng, nvars, 3 - nvars // 2, 3) for _ in range(3))
+        if a.is_zero() or b.is_zero() or c.is_zero():
+            continue
+        p = a * c * Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+        q = b * c
+        ours = poly_gcd(p, q)
+        assert ours == from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).normalized(), (p, q)
+        assert not divexact(p, ours).is_zero() and not divexact(q, ours).is_zero()
+        done += 1
+
+
 class TestBasis:
     def test_factor_extraction(self):
         p = (Y - Poly.one(2)) ** 2 * X

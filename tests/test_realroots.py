@@ -198,6 +198,22 @@ class TestPinnedIsolation:
             assert sign_at(scaled, alpha) == sign_s * sign_at(c, alpha)
 
 
+# linear inputs are solved directly up to _TRIAL_CAP**2 and bisected past it,
+# exactly as the rational-root divisor search did
+LINEAR = [
+    ([-400000000, 1], [((-400000000, 1), F(399999999), F(400000001))]),
+    ([-M, 1], [((-M, 1), F(-400000002), F(400000002))]),
+    ([-3, M], [((-3, M), F(-2), F(2))]),
+    # the zero root first, then the linear cofactor 2x - 3
+    ([0, -6, 4], [((0, 1), F(-1, 2), F(1, 2)), ((-3, 2), F(1), F(2))]),
+]
+
+
+@pytest.mark.parametrize("coeffs, expected", LINEAR)
+def test_linear_factors_and_the_trial_cap(coeffs, expected):
+    assert _exact(isolate_real_roots(coeffs)) == expected
+
+
 def test_sympy_oracle_agreement_seeded():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
