@@ -173,13 +173,11 @@ def _eliminate_coordinate(
     return _resultant_any(d, g, v), split_carrier
 
 
-def roots_above(
-    p: Poly, point: Sequence[AlgebraicNumber], v: int
-) -> list[tuple[AlgebraicNumber, bool]]:
-    """Real roots of p(point, v) sorted ascending, each flagged certainly-simple.
+def roots_above(p: Poly, point: Sequence[AlgebraicNumber], v: int) -> list[AlgebraicNumber]:
+    """Real roots of p(point, v), sorted ascending.
 
     Raises :class:`Nullified` when the substituted polynomial vanishes
-    identically.  The flag is True when p(point, v) is provably square-free.
+    identically.
     """
     rational, algebraic = _split_coords(point)
     q = p.substitute(rational) if rational else p
@@ -190,7 +188,7 @@ def roots_above(
         if not q.contains_var(v):
             return []
         # isolation divides out gcd(q, q') itself
-        return [(r, True) for r in isolate_real_roots(q, v)]
+        return list(isolate_real_roots(q, v))
     q = squarefree_part(q, v)
     coords = {i: algebraic[i] for i in live}
     # exact coefficient signs decide nullification and the true degree
@@ -213,10 +211,9 @@ def roots_above(
     candidates = list(isolate_real_roots(eliminant, v))
     if not candidates:
         return []
-    known_simple = _substitution_squarefree(trunc, point, v, true_deg)
-    out: list[tuple[AlgebraicNumber, bool]] = []
+    out: list[AlgebraicNumber] = []
     gap_signs: list[int] = []
-    if not known_simple:
+    if not _substitution_squarefree(trunc, point, v, true_deg):
         # exact zero tests against a z - p carrier; the base-coordinate
         # elimination prefix and per-defining eliminants are shared across
         # the candidates
@@ -233,7 +230,7 @@ def roots_above(
             full = dict(coords)
             full[v] = beta
             if _refined_sign(trunc, full, _root_gap(g, z)) == 0:
-                out.append((beta, False))
+                out.append(beta)
         return out
     for beta in candidates:
         checkpoint()
@@ -244,8 +241,8 @@ def roots_above(
         gap_signs.append(lo_sign)
         gap_signs.append(hi_sign)
         if lo_sign != hi_sign:
-            out.append((beta, True))
-    if contaminated and known_simple:
+            out.append(beta)
+    if contaminated:
         # conjugate contamination can in principle drop candidates; for the
         # square-free case sign changes across the candidate gaps are a
         # complete detector of missed roots

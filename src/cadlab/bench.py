@@ -13,7 +13,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -196,16 +196,7 @@ def write_csv(report: BenchReport, out) -> None:
 def write_json(report: BenchReport, out) -> None:
     """The CSV rows plus the run configuration; error rows also carry their cause."""
     doc = {
-        "config": {
-            "heuristics": list(report.config.heuristics),
-            "all_orders": report.config.all_orders,
-            "mode": report.config.mode,
-            "build": report.config.build,
-            "timeout_ms": report.config.timeout_ms,
-            "jobs": report.config.jobs,
-            "seed": report.config.seed,
-            "stable": report.config.stable,
-        },
+        "config": asdict(report.config),
         "rows": [row.as_json_record(report.config.stable) for row in report.rows],
     }
     json.dump(doc, out, indent=2)

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .algpoints import Nullified, roots_above, sign_at_point
 from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
 from .formulas import (
-    ECDesignation,
     Formula,
     atom_polys,
     enumerate_designations,
@@ -98,7 +97,7 @@ def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
             # handled at the level where its own main variable is lifted
             continue
         try:
-            found.extend((root, idx) for root, _simple in roots_above(p, base.sample, v))
+            found.extend((root, idx) for root in roots_above(p, base.sample, v))
         except Nullified:
             if base.dimension > 0:
                 raise NotWellOrientedError(
@@ -194,14 +193,15 @@ def build_cad(
     source,
     ordering: VarOrdering,
     mode: str = "sign",
-    designation=None,
+    designation: int | None = None,
     deadline: Deadline | None = None,
 ) -> CADTree:
     """Full CAD of R^n for the input polynomials under one ordering.
 
     mode "sign": sign-invariant CAD of the input set.  mode "ec": reduced
     projection and lifting along a designated equational constraint; the
-    designation is auto-selected by sotd score unless supplied.
+    designation is auto-selected by sotd score unless ``designation`` gives
+    an index into the top level's EC candidates.
     """
     if mode not in ("sign", "ec"):
         raise ValueError(f"unknown CAD mode {mode!r}")
@@ -217,9 +217,7 @@ def build_cad(
     label = "-"
     with scoped_deadline(deadline):
         if mode == "ec":
-            designations, label = _choose_designation(
-                relabeled, formula, perm, identity, designation
-            )
+            designations, label = _choose_designation(relabeled, formula, perm, designation)
         levels = projection_levels(relabeled, identity, designations=designations)
         current = [Cell((), ())]
         tree_levels: list[list[Cell]] = []
@@ -259,8 +257,7 @@ def _choose_designation(
     relabeled: list[Poly],
     formula: Formula | None,
     perm: tuple[int, ...],
-    identity: VarOrdering,
-    requested,
+    requested: int | None,
 ) -> tuple[dict[int, Poly], str]:
     """Designations for EC mode, auto-scored by sotd unless one is requested.
 
@@ -272,38 +269,29 @@ def _choose_designation(
         ecs = list(relabeled)  # a bare polynomial set is read as a conjunction of = 0
     else:
         ecs = [p.permute_vars(perm) for p in identify_ecs(formula)]
-    ecs = [p.normalized() for p in ecs]
     if not ecs:
         return {}, "none"
+    identity = VarOrdering(tuple(range(len(perm))))
     candidates = propagate_ecs(ecs, identity)
     if requested is not None:
         top = candidates[-1]
-        if isinstance(requested, int):
-            if not 0 <= requested < len(top):
-                raise ValueError(f"designation index {requested} out of range")
-            chosen_top = top[requested]
-        else:
-            chosen_top = requested.permute_vars(perm).normalized()
-            if chosen_top not in top:
-                raise ValueError("designated EC missing")
+        if not 0 <= requested < len(top):
+            raise ValueError(f"designation index {requested} out of range")
         # the requested EC on top, the first candidate on every level below
-        designation = ECDesignation(
-            tuple(level[0] if level else None for level in candidates[:-1]) + (chosen_top,)
-        )
-    else:
-        best = None
-        for d in enumerate_designations(candidates):
-            try:
-                score = score_designation(relabeled, d, identity, measure="sotd")
-            except ValueError:
-                continue
-            if best is None or score < best[0]:
-                best = (score, d)
-        if best is None:
-            return {}, "none"
-        designation = best[1]
-    mapping = designation.as_mapping()
-    return mapping, _label(mapping)
+        mapping = {k: level[0] for k, level in enumerate(candidates[:-1], start=1) if level}
+        mapping[len(candidates)] = top[requested]
+        return mapping, _label(mapping)
+    best = None
+    for d in enumerate_designations(candidates):
+        try:
+            score = score_designation(relabeled, d, identity)
+        except ValueError:
+            continue
+        if best is None or score < best[0]:
+            best = (score, d)
+    if best is None:
+        return {}, "none"
+    return best[1], _label(best[1])
 
 
 def _label(mapping: dict[int, Poly]) -> str:

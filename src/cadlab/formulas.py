@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DesignationCapError
 from .ordering import VarOrdering
-from .polys import Poly, _poly_sort_key, distinct_normalized, resultant, squarefree_part
-from .projection import projection_levels, sotd_value
+from .polys import Poly, _poly_sort_key, distinct_normalized, resultant
+from .projection import _emit, projection_levels, sotd_value
 from .realroots import count_distinct_real_roots
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "BoolOp",
     "Const",
     "Formula",
-    "ECDesignation",
     "normalize",
     "identify_ecs",
     "propagate_ecs",
@@ -198,42 +197,28 @@ def propagate_ecs(E: Iterable[Poly], ordering: VarOrdering) -> list[list[Poly]]:
     E = distinct_normalized(E)
     if not E:
         raise ValueError("no equational constraints to propagate")
-    n = ordering.nvars
-    levels: list[dict[Poly, None]] = [{} for _ in range(n)]
+    levels: list[dict[Poly, None]] = [{} for _ in range(ordering.nvars)]
     for p in E:
         levels[_main_var(p, ordering) - 1][p] = None
-    for k in range(n, 1, -1):
+    for k in range(ordering.nvars, 1, -1):
+        # every candidate of level k involves the level variable
         v = ordering.var_at_level(k)
         above = list(levels[k - 1])
+        found: dict[Poly, None] = {}
         for i, a in enumerate(above):
             for b in above[i + 1 :]:
-                if not (a.contains_var(v) and b.contains_var(v)):
-                    continue
-                r = resultant(a, b, v)
-                if r.is_zero() or r.is_constant():
-                    continue
-                vs = r.variables()
-                r = squarefree_part(r, vs[-1]).normalized()
-                if r.is_constant():
-                    continue
-                levels[_main_var(r, ordering) - 1][r] = None
-    return [sorted(d, key=_poly_sort_key) for d in levels]
+                _emit(found, resultant(a, b, v))
+        for r in found:
+            levels[_main_var(r, ordering) - 1][r] = None
+    return [sorted(level, key=_poly_sort_key) for level in levels]
 
 
-@dataclass(frozen=True)
-class ECDesignation:
-    """Designated EC per level (1-based level k = entry k-1); None = no designation."""
+def enumerate_designations(candidates: Sequence[Sequence[Poly]]) -> list[dict[int, Poly]]:
+    """Every choice of one candidate per level, as level -> EC maps.
 
-    per_level: tuple[Poly | None, ...]
-
-    def as_mapping(self) -> dict[int, Poly]:
-        return {k + 1: p for k, p in enumerate(self.per_level) if p is not None}
-
-
-def enumerate_designations(candidates: Sequence[Sequence[Poly]]) -> list[ECDesignation]:
-    """Cartesian product of per-level choices; levels without candidates get None.
-
-    Raises :class:`DesignationCapError` past 64 combinations.
+    Levels without candidates are left out of the maps.  Level 1 varies
+    slowest, the top level fastest.  Raises :class:`DesignationCapError` past
+    64 combinations.
     """
     total = 1
     for level in candidates:
@@ -242,18 +227,16 @@ def enumerate_designations(candidates: Sequence[Sequence[Poly]]) -> list[ECDesig
             raise DesignationCapError(
                 f"{total}+ designations exceed the cap of {DESIGNATION_CAP}"
             )
-    out = [ECDesignation(())]
-    for level in candidates:
-        choices: Sequence[Poly | None] = list(level) if level else [None]
-        out = [
-            ECDesignation(d.per_level + (choice,)) for d in out for choice in choices
-        ]
+    out: list[dict[int, Poly]] = [{}]
+    for k, level in enumerate(candidates, start=1):
+        if level:
+            out = [{**d, k: p} for d in out for p in level]
     return out
 
 
 def score_designation(
     A: Iterable[Poly],
-    designation: ECDesignation,
+    designation: Mapping[int, Poly],
     ordering: VarOrdering,
     measure: str = "sotd",
 ) -> int:
@@ -262,8 +245,7 @@ def score_designation(
     Designations apply the reduced operator at their levels (level 1 carries
     no projection, so its designation is inert).  Projection errors propagate.
     """
-    mapping = {k: p for k, p in designation.as_mapping().items() if k >= 2}
-    levels = projection_levels(A, ordering, designations=mapping)
+    levels = projection_levels(A, ordering, designations=designation)
     if measure == "sotd":
         return sotd_value(levels)
     if measure == "ndrr":

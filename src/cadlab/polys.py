@@ -590,11 +590,15 @@ def squarefree_part(p: Poly, v: int) -> Poly:
     if p.is_zero() or p.degree(v) == 0:
         return p
     cont = content_in(p, v)
-    pp = divexact(p, cont) if not cont.is_constant() else p
+    if cont.is_constant():
+        return _squarefree_primitive(p, v)
+    return cont * _squarefree_primitive(divexact(p, cont), v)
+
+
+def _squarefree_primitive(pp: Poly, v: int) -> Poly:
+    """Square-free part of pp, primitive in v: pp / gcd(pp, d pp/dv)."""
     g = poly_gcd(pp, pp.derivative(v))
-    if not g.is_constant():
-        pp = divexact(pp, g)
-    return pp if cont.is_constant() else cont * pp
+    return pp if g.is_constant() else divexact(pp, g)
 
 
 # -- canonical sets ---------------------------------------------------------------
@@ -634,14 +638,15 @@ def squarefree_primitive_basis(
     parts: list[Poly] = []
     contents: set[Poly] = set()
     for p in sorted(A, key=_poly_sort_key):
-        if p.is_zero() or p.is_constant():
+        if p.is_constant():
             continue
+        # content_in is normalized, and a constant content is 1
         cont = content_in(p, v)
-        pp = divexact(p, cont)
         if not cont.is_constant():
-            contents.add(cont.normalized())
-        if pp.contains_var(v):
-            parts.append(squarefree_part(pp, v).normalized())
+            contents.add(cont)
+            p = divexact(p, cont)
+        if p.contains_var(v):
+            parts.append(_squarefree_primitive(p, v).normalized())
     basis: list[Poly] = []
     queue = list(dict.fromkeys(parts))
     while queue:

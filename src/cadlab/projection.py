@@ -19,6 +19,7 @@ from .ordering import VarOrdering
 from .polys import (
     Poly,
     _poly_sort_key,
+    content_in,
     discriminant,
     distinct_normalized,
     resultant,
@@ -35,15 +36,19 @@ __all__ = [
 ]
 
 
-def _emit(collected: set[Poly], p: Poly) -> None:
+def _emit(collected: dict[Poly, None], p: Poly) -> None:
+    """Add p square-freed in its main variable and normalized; constants drop.
+
+    ``collected`` is an insertion-ordered set: the first equal entry stays.
+    """
     if p.is_constant():
         return
     q = squarefree_part(p, p.variables()[-1]).normalized()
     if not q.is_constant():
-        collected.add(q)
+        collected[q] = None
 
 
-def _coefficients_until_constant(collected: set[Poly], b: Poly, v: int) -> None:
+def _coefficients_until_constant(collected: dict[Poly, None], b: Poly, v: int) -> None:
     # leading coefficient downwards; a nonzero constant coefficient certifies
     # the polynomial cannot vanish identically, so the rest may be dropped
     for k in range(b.degree(v), -1, -1):
@@ -57,7 +62,7 @@ def _coefficients_until_constant(collected: set[Poly], b: Poly, v: int) -> None:
 
 def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
     """Full projection of A eliminating v; elements free of v pass through."""
-    collected: set[Poly] = set()
+    collected: dict[Poly, None] = {}
     basis, contents = squarefree_primitive_basis(A, v)
     for c in contents:
         _emit(collected, c)
@@ -74,23 +79,20 @@ def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
 def reduced_ec_project(A: Iterable[Poly], e: Poly, v: int) -> list[Poly]:
     """Reduced operator for a designated equational constraint e in A.
 
-    Projects e alone in full, plus the resultants of e against the other
-    elements containing v, plus the contents of the others.
+    Projects e alone in full, plus the contents of the other elements (an
+    element free of v is its own content) and the resultants of e against
+    the others containing v.
     """
     A = list(A)
     if e not in A:
         raise ValueError("designated EC missing")
     if not e.contains_var(v):
         raise ValueError("designated EC does not involve the projection variable")
-    collected: set[Poly] = set()
-    for p in mccallum_project([e], v):
-        _emit(collected, p)
-    others = [g for g in A if g != e]
-    _, other_contents = squarefree_primitive_basis(others, v)
-    for c in other_contents:
-        _emit(collected, c)
-    # polynomials free of v are exactly their own contents and pass through above
-    for g in others:
+    collected = dict.fromkeys(mccallum_project([e], v))
+    for g in A:
+        if g == e:
+            continue
+        _emit(collected, content_in(g, v))
         if g.contains_var(v):
             _emit(collected, resultant(e, g, v))
     return sorted(collected, key=_poly_sort_key)

@@ -68,14 +68,13 @@ class TestRootsAbove:
     def test_rational_base(self):
         p = Poly(2, {(2, 0): 1, (0, 2): 1, (0, 0): -1})
         roots = roots_above(p, (rat(0),), 1)
-        assert [r.rational_value for r, _ in roots] == [Fraction(-1), Fraction(1)]
-        assert all(simple for _, simple in roots)
+        assert [r.rational_value for r in roots] == [Fraction(-1), Fraction(1)]
 
     def test_algebraic_base(self):
         p = Poly(2, {(0, 2): 1, (1, 0): -1})  # y^2 - x over x = sqrt2
         roots = roots_above(p, (SQRT2,), 1)
         assert len(roots) == 2
-        fourth_root = roots[1][0]
+        fourth_root = roots[1]
         # (2^(1/4))^4 == 2
         from cadlab.realroots import sign_at
 
@@ -104,7 +103,7 @@ class TestRootsAbove:
         roots_sq = roots_above(squared, (SQRT2,), 1)
         roots_plain = roots_above(base, (SQRT2,), 1)
         assert len(roots_sq) == len(roots_plain) == 2
-        for (a, _), (b, _) in zip(roots_sq, roots_plain):
+        for a, b in zip(roots_sq, roots_plain):
             assert compare(a, b) == 0
 
 
@@ -115,7 +114,7 @@ TWO = (rat(2),)
 
 
 def _exact(roots):
-    return [((r.coeffs, r.lo, r.hi), simple) for r, simple in roots]
+    return [(r.coeffs, r.lo, r.hi) for r in roots]
 
 
 class TestRationalSample:
@@ -126,8 +125,8 @@ class TestRationalSample:
     def test_repeated_factor_gives_each_root_once(self):
         p = (Y - X) ** 2 * (Y + ONE)  # (y - 2)^2 (y + 1) at x = 2
         assert _exact(roots_above(p, TWO, 1)) == [
-            (((1, 1), Fraction(-2), Fraction(0)), True),
-            (((-2, 1), Fraction(1), Fraction(3)), True),
+            ((1, 1), Fraction(-2), Fraction(0)),
+            ((-2, 1), Fraction(1), Fraction(3)),
         ]
 
     def test_identically_vanishing_is_nullified(self):
@@ -142,14 +141,14 @@ class TestRationalSample:
         # root comes from bisection over the root bound, not from_rational
         p = X * Y * 400000001 - ONE * 3
         assert _exact(roots_above(p, TWO, 1)) == [
-            (((-3, 800000002), Fraction(-2), Fraction(2)), True),
+            ((-3, 800000002), Fraction(-2), Fraction(2)),
         ]
 
     def test_linear_factor_at_the_trial_cap_is_solved(self):
         p = Y * 400000000 - ONE * 7
         assert _exact(roots_above(p, TWO, 1)) == [
-            (((-7, 400000000), Fraction(-399999993, 400000000),
-              Fraction(400000007, 400000000)), True),
+            ((-7, 400000000), Fraction(-399999993, 400000000),
+             Fraction(400000007, 400000000)),
         ]
 
 

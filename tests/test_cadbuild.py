@@ -343,3 +343,19 @@ class TestEcReduced:
         for t in (t0, t1):
             _, n = evaluate_formula_on_cells(t, formula)
             assert n == 2
+
+    @pytest.mark.xfail(strict=True, reason="a designated EC vanishing identically over a "
+                       "0-dimensional cell lifts no sections, so the other ECs' roots are lost")
+    def test_agrees_with_sign_mode_on_satisfiability(self):
+        # y(3x - 2) = 0 and 3x^2 + 3y + 2 = 0 hold at (2/3, -10/9); over x = 2/3
+        # the designated y(3x - 2) vanishes, and that stack gets no sections
+        prob = random_problems(7101, 22, RandomProfile(
+            nvars=2, npolys=3, max_degree=2, max_terms=3, coeff_range=4,
+            equality_fraction=0.7))[21]
+        point = {0: Fraction(2, 3), 1: Fraction(-10, 9)}
+        assert all(p.evaluate(point) == 0 for p in prob.input_polys())
+        satisfiable = {}
+        for mode in ("sign", "ec"):
+            _, n = evaluate_formula_on_cells(build_cad(prob, XY, mode=mode), prob.formula)
+            satisfiable[mode] = n > 0
+        assert satisfiable["ec"] == satisfiable["sign"]

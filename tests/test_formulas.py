@@ -6,7 +6,6 @@ from cadlab.errors import DesignationCapError
 from cadlab.formulas import (
     Atom,
     BoolOp,
-    ECDesignation,
     atom_polys,
     enumerate_designations,
     identify_ecs,
@@ -112,7 +111,7 @@ class TestEnumerate:
         cands = propagate_ecs([F1, F2], XY)
         designs = enumerate_designations(cands)
         assert len(designs) == 2
-        tops = {d.per_level[1] for d in designs}
+        tops = {d[2] for d in designs}
         assert tops == {F1, F2}
 
     def test_single_ec_single_designation(self):
@@ -122,12 +121,43 @@ class TestEnumerate:
     def test_no_candidates_all_none(self):
         designs = enumerate_designations([[], []])
         assert len(designs) == 1
-        assert designs[0].per_level == (None, None)
+        assert designs[0] == {}
 
     def test_cap(self):
         level = [Poly.var(2, 0) + Poly.const(2, k) for k in range(9)]
         with pytest.raises(DesignationCapError):
             enumerate_designations([level, level])
+
+
+class TestPinnedThreeVariables:
+    """Recorded with designations as per-level tuples (None for no candidate)."""
+
+    x, y, z = (Poly.var(3, i) for i in range(3))
+    ECS = [z * z + x * x + y * y - Poly.const(3, 4), z - x * y, y * y - x]
+
+    def test_propagate_ecs(self):
+        cands = propagate_ecs(self.ECS, VarOrdering((0, 1, 2)))
+        terms = [[[(e, c, type(c).__name__) for e, c in p.sorted_terms()] for p in level]
+                 for level in cands]
+        assert terms == [
+            [[((3, 0, 0), 1, "int"), ((2, 0, 0), 1, "int"), ((1, 0, 0), 1, "int"),
+              ((0, 0, 0), -4, "int")]],
+            [[((0, 2, 0), 1, "int"), ((1, 0, 0), -1, "int")],
+             [((2, 2, 0), 1, "int"), ((2, 0, 0), 1, "int"), ((0, 2, 0), 1, "int"),
+              ((0, 0, 0), -4, "int")]],
+            [[((1, 1, 0), 1, "int"), ((0, 0, 1), -1, "int")],
+             [((2, 0, 0), 1, "int"), ((0, 2, 0), 1, "int"), ((0, 0, 2), 1, "int"),
+              ((0, 0, 0), -4, "int")]],
+        ]
+
+    def test_designation_order(self):
+        cands = propagate_ecs(self.ECS, VarOrdering((0, 1, 2)))
+        designs = enumerate_designations(cands)
+        # level 1 varies slowest, the top level fastest; keys ascend
+        assert [list(d) for d in designs] == [[1, 2, 3]] * 4
+        assert [{k: cands[k - 1].index(p) for k, p in d.items()} for d in designs] == [
+            {1: 0, 2: 0, 3: 0}, {1: 0, 2: 0, 3: 1}, {1: 0, 2: 1, 3: 0}, {1: 0, 2: 1, 3: 1},
+        ]
 
 
 class TestScore:
@@ -140,7 +170,7 @@ class TestScore:
         assert scores[0] == scores[1] == 3
 
     def test_all_none_matches_full_projection(self):
-        d = ECDesignation((None, None))
+        d: dict = {}
         full = sotd_value(projection_levels([F1, F2], XY))
         assert score_designation([F1, F2], d, XY) == full
 
@@ -157,7 +187,7 @@ class TestScore:
         assert score == 3  # level 1 = {x^2-1, 2x-1}: roots -1, 1/2, 1
 
     def test_unknown_measure(self):
-        d = ECDesignation((None, None))
+        d: dict = {}
         with pytest.raises(ValueError):
             score_designation([F1], d, XY, measure="entropy")
 
@@ -198,4 +228,4 @@ class TestCardinality:
         c = [Poly.var(2, 1)]
         designs = enumerate_designations([a, b, c])
         assert len(designs) == 2 * 1 * 1
-        assert all(d.per_level[1] is None for d in designs)
+        assert all(2 not in d for d in designs)

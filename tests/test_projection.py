@@ -11,6 +11,7 @@ from cadlab.projection import mccallum_project, projection_levels, reduced_ec_pr
 
 X = Poly.var(2, 0)
 Y = Poly.var(2, 1)
+ONE = Poly.one(2)
 
 
 def P(terms):
@@ -66,6 +67,40 @@ class TestReducedEC:
     def test_missing_ec(self):
         with pytest.raises(ValueError, match="designated EC missing"):
             reduced_ec_project([CIRCLE], CIRCLE2, 1)
+
+    # (A, e) -> output as (exponents, coefficient, coefficient type) terms,
+    # recorded when the contents came from a square-free basis of the others
+    PINNED = {
+        # the other's content (x - 1)^2 is emitted square-freed
+        "nonconstant_content": (
+            [CIRCLE, (X - ONE) ** 2 * (Y + X * 2)],
+            [
+                [((1, 0), 1, "int"), ((0, 0), -1, "int")],
+                [((2, 0), 1, "int"), ((0, 0), -1, "int")],
+                [((3, 0), 5, "int"), ((2, 0), -5, "int"), ((1, 0), -1, "int"), ((0, 0), 1, "int")],
+            ],
+        ),
+        # (2x - 1)^2 is free of y: its own content, square-freed
+        "free_of_v": (
+            [CIRCLE, (X * 2 - ONE) ** 2, Y * 3 - X],
+            [
+                [((1, 0), 2, "int"), ((0, 0), -1, "int")],
+                [((2, 0), 1, "int"), ((0, 0), -1, "int")],
+                [((2, 0), 10, "int"), ((0, 0), -9, "int")],
+            ],
+        ),
+        # the resultant with e is zero and drops out
+        "shares_a_factor_with_e": (
+            [(Y - X) * (Y + X + ONE), (Y - X) * (Y * 2 - ONE * 3)],
+            [[((1, 0), 2, "int"), ((0, 0), 1, "int")]],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_terms(self, case):
+        A, expected = self.PINNED[case]
+        out = reduced_ec_project(A, A[0], 1)
+        assert [[(e, c, type(c).__name__) for e, c in p.sorted_terms()] for p in out] == expected
 
     def test_subset_of_full_on_generic_random(self):
         from cadlab.polys import divexact, squarefree_part
