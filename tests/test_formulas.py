@@ -130,7 +130,7 @@ class TestEnumerate:
 
 
 class TestPinnedThreeVariables:
-    """Recorded with designations as per-level tuples (None for no candidate)."""
+    """Candidates at levels 2 and 3; terms and order pinned from the tuple-based designations."""
 
     x, y, z = (Poly.var(3, i) for i in range(3))
     ECS = [z * z + x * x + y * y - Poly.const(3, 4), z - x * y, y * y - x]
