@@ -10,8 +10,17 @@ primitives drive the lifting phase:
   substitutes a coordinate that turns rational, and hands a last algebraic
   coordinate to :func:`realroots.sign_at` (gcd certificate for zero).  After
   a fixed number of undecided rounds it eliminates the coordinates from a
-  carrier z - p by resultants; a lower bound on the nonzero roots of that
-  eliminant lets an enclosure certify zero.
+  carrier z - p by resultants, from the top coordinate down; a lower bound
+  on the nonzero roots of that eliminant lets an enclosure certify zero.
+  A caller that knows the sample's section tower (for coordinate k, a
+  polynomial E_k(x_0..x_k) vanishing at the sample's first k+1 coordinates
+  with a leading coefficient in x_k nonzero at the first k) passes it, and
+  x_k is eliminated against E_k: the eliminant's degree in z then grows by
+  deg_{x_k} E_k rather than by the degree of the coordinate's univariate
+  defining polynomial, which multiplies over the levels.  Coordinates
+  without a tower polynomial go through their defining polynomials, and a
+  tower eliminant that vanishes identically is replaced by the untowered
+  one, so every sign stays exact.
 
 * :func:`roots_above`: the real roots of p(sample, v) as algebraic numbers.
   Candidates come from iterated resultants against the coordinates' defining
@@ -24,7 +33,7 @@ primitives drive the lifting phase:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .dense import dense_from_poly
 from .errors import checkpoint
@@ -55,26 +64,39 @@ def _split_coords(
     return rational, algebraic
 
 
-def sign_at_point(p: Poly, point: Sequence[AlgebraicNumber]) -> int:
-    """Exact sign of p at the sample point (coordinates are variables 0..k-1)."""
+def sign_at_point(
+    p: Poly, point: Sequence[AlgebraicNumber], tower: Mapping[int, Poly] | None = None
+) -> int:
+    """Exact sign of p at the sample point (coordinates are variables 0..k-1).
+
+    ``tower`` maps a coordinate k to a polynomial E_k in x_0..x_k that
+    vanishes at point[:k+1] and whose leading coefficient in x_k is nonzero
+    at point[:k]; the zero certificate eliminates x_k against it.
+    """
     if any(p.contains_var(v) for v in range(len(point), p.nvars)):
         raise ValueError("polynomial has a variable beyond the sample point")
-    rational, algebraic = _split_coords(point)
-    return _refined_sign(p.substitute(rational) if rational else p, algebraic)
+    return _refined_sign(p, point, tower=tower)
 
 
 def _refined_sign(
-    q: Poly, coords: dict[int, AlgebraicNumber], gap: Fraction | None = None
+    q: Poly,
+    point: Sequence[AlgebraicNumber],
+    gap: Fraction | None = None,
+    tower: Mapping[int, Poly] | None = None,
 ) -> int:
-    """Sign of q at the algebraic coordinates; q has no other variable.
+    """Sign of q at the sample point; q has no variable beyond it.
 
-    Each round narrows every live interval.  A coordinate that turns rational
-    is substituted and the round count starts again.  After
-    ``_REFINE_ROUNDS_BEFORE_EXACT`` undecided rounds the root gap of the
-    eliminant of z - q is computed, unless the caller passed it: q(coords) is
-    a root of that eliminant, so an enclosure inside (-gap, gap) certifies
-    zero.
+    The rational coordinates are substituted first.  Each round narrows every
+    live interval.  A coordinate that turns rational is substituted and the
+    round count starts again.  After ``_REFINE_ROUNDS_BEFORE_EXACT`` undecided
+    rounds the root gap of the eliminant of z - q is computed, unless the
+    caller passed it: q(point) is a root of that eliminant, so an enclosure
+    inside (-gap, gap) certifies zero.  ``tower`` is passed on to
+    :func:`_carrier`.
     """
+    rational, coords = _split_coords(point)
+    if rational:
+        q = q.substitute(rational)
     rounds = 0
     while True:
         coords = {i: a for i, a in coords.items() if q.contains_var(i)}
@@ -91,7 +113,7 @@ def _refined_sign(
         if hi < 0:
             return -1
         if gap is None and rounds == _REFINE_ROUNDS_BEFORE_EXACT:
-            gap = _root_gap(_carrier(q, coords), q.nvars)
+            gap = _root_gap(_carrier(q, point, tower), q.nvars)
         if gap is not None and -gap < lo and hi < gap:
             return 0
         if rounds == _MAX_ROUNDS:
@@ -104,16 +126,40 @@ def _refined_sign(
             rounds = 0
 
 
-def _carrier(q: Poly, coords: dict[int, AlgebraicNumber]) -> Poly:
+def _carrier(
+    q: Poly, point: Sequence[AlgebraicNumber], tower: Mapping[int, Poly] | None = None
+) -> Poly:
     """z - q, with z a new last variable, and the coordinates eliminated from it.
 
-    The result vanishes at z = q(coords) in the remaining variables.
+    The coordinates go from the top down.  A rational one is substituted, one
+    with a tower polynomial E_k is eliminated by res_{x_k}(E_k, .), and any
+    other by its defining polynomial.  The result vanishes at z = q(point) in
+    the remaining variables.  A tower eliminant that vanishes identically
+    (E_k sharing a factor with the carrier) is replaced by the carrier built
+    without the tower.
     """
     nv = q.nvars + 1
-    g = Poly.var(nv, q.nvars) - Poly(nv, {e + (0,): c for e, c in q.terms.items()})
-    for v, alpha in sorted(coords.items()):
-        g, _split = _eliminate_coordinate(g, v, alpha)
+    g = Poly.var(nv, q.nvars) - _with_z(q)
+    for k in range(len(point) - 1, -1, -1):
+        if not g.contains_var(k):
+            continue
+        alpha = point[k]
+        if alpha.is_rational:
+            g = g.substitute({k: alpha.rational_value})
+            continue
+        e = None if tower is None else tower.get(k)
+        if e is None:
+            g, _split = _eliminate_coordinate(g, k, alpha)
+            continue
+        g = _resultant_any(_with_z(e), g, k)
+        if g.is_zero():
+            return _carrier(q, point)
     return g
+
+
+def _with_z(p: Poly) -> Poly:
+    """p with a new last variable z it does not involve."""
+    return Poly(p.nvars + 1, {e + (0,): c for e, c in p.terms.items()})
 
 
 def _root_gap(eliminant: Poly, z: int) -> Fraction:
@@ -217,7 +263,7 @@ def roots_above(p: Poly, point: Sequence[AlgebraicNumber], v: int) -> list[Algeb
         # exact zero tests against a z - p carrier; the base-coordinate
         # elimination prefix and per-defining eliminants are shared across
         # the candidates
-        prefix = _carrier(trunc, coords)
+        prefix = _carrier(trunc, point)
         z = trunc.nvars
         cache: dict = {}
         for beta in candidates:
@@ -227,9 +273,7 @@ def roots_above(p: Poly, point: Sequence[AlgebraicNumber], v: int) -> list[Algeb
                 g, split = _eliminate_coordinate(prefix, v, beta)
                 if not split:
                     cache[beta.coeffs] = g
-            full = dict(coords)
-            full[v] = beta
-            if _refined_sign(trunc, full, _root_gap(g, z)) == 0:
+            if _refined_sign(trunc, (*point, beta), _root_gap(g, z)) == 0:
                 out.append(beta)
         return out
     for beta in candidates:

@@ -12,9 +12,10 @@ intervals, and the nearest integer beyond the outermost bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algpoints import Nullified, roots_above, sign_at_point
 from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
@@ -25,11 +26,10 @@ from .formulas import (
     evaluate_signs,
     identify_ecs,
     propagate_ecs,
-    score_designation,
 )
 from .ordering import VarOrdering
 from .polys import Poly, distinct_normalized
-from .projection import ProjectionLevels, projection_levels
+from .projection import ProjectionLevels, projection_levels, sotd_value
 from .realroots import AlgebraicNumber, _merge_roots, isolate_real_roots, merge_distinct
 
 __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_fulldim",
@@ -134,6 +134,8 @@ class CADTree:
     ``input_polys`` are the problem polynomials (original variable labels,
     normalized); leaf signs align with them.  ``cell_count`` follows the
     convention that a CAD of R^n has the leaf cells as its cells.
+    ``_lifted[k]`` holds the polynomials lifted over at level k+1, the ones
+    ``zero_polys`` indexes (the relabeled inputs at the top level).
     """
 
     ordering: VarOrdering
@@ -143,6 +145,8 @@ class CADTree:
     mode: str
     designation_label: str = "-"
     _relabeled_inputs: tuple[Poly, ...] = ()
+    _lifted: tuple[tuple[Poly, ...], ...] = ()
+    _tower_polys: dict[tuple[int, ...], Poly | None] = field(default_factory=dict, repr=False)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -165,21 +169,78 @@ class CADTree:
         return [sizes[c.index] for c in self.levels[-2]]
 
     def ensure_signs(self) -> None:
-        """Populate leaf signs for every input polynomial at the leaf samples."""
+        """Populate leaf signs for every input polynomial at the leaf samples.
+
+        Zero signs are certified through the leaf's section tower.
+        """
+        ancestors = {c.index: c for level in self.levels[:-1] for c in level}
         for leaf in self.levels[-1]:
             if leaf.signs is not None:
                 continue
+            chain = [ancestors[leaf.index[:j]] for j in range(1, leaf.level)] + [leaf]
+            tower = _SectionTower(self, chain)
             signs = []
             for j, p in enumerate(self._relabeled_inputs):
                 checkpoint()
                 if j in leaf.zero_polys:
                     signs.append(0)
                 else:
-                    signs.append(sign_at_point(p, leaf.sample))
+                    signs.append(sign_at_point(p, leaf.sample, tower))
             leaf.signs = tuple(signs)
+
+    def _tower_poly(self, cell: Cell, tower: Mapping[int, Poly]) -> Poly | None:
+        """The cell's entry in a section tower, memoized per cell.
+
+        Of the polynomials lifted over at the cell's level that vanish on it,
+        the lowest-degree one in the cell's last coordinate x_k whose leading
+        coefficient in x_k is nonzero at the base sample (signed through
+        ``tower``, which covers the base's coordinates); None for a rational
+        coordinate or when no such polynomial beats the coordinate's own
+        defining polynomial in degree.
+        """
+        if cell.index in self._tower_polys:
+            return self._tower_polys[cell.index]
+        k = cell.level - 1
+        alpha = cell.sample[k]
+        pick = None
+        if not alpha.is_rational:
+            owners = sorted((self._lifted[k][j] for j in cell.zero_polys), key=lambda e: e.degree(k))
+            for e in owners:
+                if not 0 < e.degree(k) < len(alpha.coeffs) - 1:
+                    continue
+                if sign_at_point(e.leading_coeff(k), cell.sample[:k], tower) != 0:
+                    pick = e
+                    break
+        self._tower_polys[cell.index] = pick
+        return pick
 
     def fulldim_leaf_count(self) -> int:
         return sum(1 for c in self.levels[-1] if c.dimension == len(c.index))
+
+
+class _SectionTower(Mapping):
+    """One leaf's section tower for :func:`algpoints.sign_at_point`.
+
+    Coordinate k maps to the tower polynomial of the leaf's ancestor at level
+    k+1 (see :meth:`CADTree._tower_poly`), picked on first access: a sign
+    that interval refinement decides never needs it.
+    """
+
+    def __init__(self, tree: CADTree, chain: list[Cell]):
+        self._tree = tree
+        self._chain = chain  # the leaf's ancestors from level 1, then the leaf
+
+    def __getitem__(self, k: int) -> Poly:
+        e = self._tree._tower_poly(self._chain[k], self)
+        if e is None:
+            raise KeyError(k)
+        return e
+
+    def __iter__(self) -> Iterator[int]:
+        return (k for k in range(len(self._chain)) if k in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def _input_list(source) -> tuple[list[Poly], Formula | None]:
@@ -215,12 +276,17 @@ def build_cad(
     identity = VarOrdering(tuple(range(n)))
     designations: dict[int, Poly] = {}
     label = "-"
+    levels = None
     with scoped_deadline(deadline):
         if mode == "ec":
-            designations, label = _choose_designation(relabeled, formula, perm, designation)
-        levels = projection_levels(relabeled, identity, designations=designations)
+            designations, label, levels = _choose_designation(
+                relabeled, formula, perm, designation
+            )
+        if levels is None:
+            levels = projection_levels(relabeled, identity, designations=designations)
         current = [Cell((), ())]
         tree_levels: list[list[Cell]] = []
+        lifted: list[tuple[Poly, ...]] = []
         for k in range(1, n + 1):
             # a designated level (EC mode only) lifts over its designated EC alone
             if k == n:
@@ -234,13 +300,16 @@ def build_cad(
                 checkpoint()
                 next_cells.extend(build_stack(base, stack_polys).cells)
             tree_levels.append(next_cells)
+            lifted.append(tuple(stack_polys))
             current = next_cells
     # zero_polys indices refer to the top stack polynomials; leaf signs index inputs
     translation = _stack_to_input_indices(stack_polys, relabeled)
     for cell in current:
         cell.zero_polys = frozenset(translation[j] for j in cell.zero_polys if j in translation)
+    lifted[-1] = tuple(relabeled)
     return CADTree(ordering, tuple(inputs), tree_levels, levels, mode,
-                   designation_label=label, _relabeled_inputs=tuple(relabeled))
+                   designation_label=label, _relabeled_inputs=tuple(relabeled),
+                   _lifted=tuple(lifted))
 
 
 def _stack_to_input_indices(stack_polys: Sequence[Poly], inputs: Sequence[Poly]) -> dict[int, int]:
@@ -258,19 +327,20 @@ def _choose_designation(
     formula: Formula | None,
     perm: tuple[int, ...],
     requested: int | None,
-) -> tuple[dict[int, Poly], str]:
+) -> tuple[dict[int, Poly], str, ProjectionLevels | None]:
     """Designations for EC mode, auto-scored by sotd unless one is requested.
 
-    Returns a level->poly mapping in the relabeled space plus a display label.
-    With no equational constraints the mapping is empty (degenerates to the
-    sign-invariant build).
+    Returns a level->poly mapping in the relabeled space, a display label and
+    the winning designation's projection levels when scoring computed them
+    (None otherwise).  With no equational constraints the mapping is empty
+    (degenerates to the sign-invariant build).
     """
     if formula is None:
         ecs = list(relabeled)  # a bare polynomial set is read as a conjunction of = 0
     else:
         ecs = [p.permute_vars(perm) for p in identify_ecs(formula)]
     if not ecs:
-        return {}, "none"
+        return {}, "none", None
     identity = VarOrdering(tuple(range(len(perm))))
     candidates = propagate_ecs(ecs, identity)
     if requested is not None:
@@ -280,18 +350,19 @@ def _choose_designation(
         # the requested EC on top, the first candidate on every level below
         mapping = {k: level[0] for k, level in enumerate(candidates[:-1], start=1) if level}
         mapping[len(candidates)] = top[requested]
-        return mapping, _label(mapping)
+        return mapping, _label(mapping), None
     best = None
     for d in enumerate_designations(candidates):
         try:
-            score = score_designation(relabeled, d, identity)
+            levels = projection_levels(relabeled, identity, designations=d)
         except ValueError:
             continue
+        score = sotd_value(levels)
         if best is None or score < best[0]:
-            best = (score, d)
+            best = (score, d, levels)
     if best is None:
-        return {}, "none"
-    return best[1], _label(best[1])
+        return {}, "none", None
+    return best[1], _label(best[1]), best[2]
 
 
 def _label(mapping: dict[int, Poly]) -> str:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .dense import _uni_gcd, dense_from_poly
+from .errors import checkpoint
 
 __all__ = [
     "Poly",
@@ -42,6 +43,10 @@ __all__ = [
     "squarefree_primitive_basis",
     "degree_stats",
 ]
+
+
+# a product whose rows are longer than this honors the deadline once per row
+_LONG_ROW = 64
 
 
 def _as_coeff(c):
@@ -188,7 +193,10 @@ class Poly:
             return Poly(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], int | Fraction] = {}
+        long_rows = len(other.terms) > _LONG_ROW
         for e1, c1 in self.terms.items():
+            if long_rows:
+                checkpoint()
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e, 0) + c1 * c2
@@ -407,6 +415,7 @@ def divexact(p: Poly, d: Poly) -> Poly:
     d_lead = max(d.terms, key=_grlex_key)
     d_lc = d.terms[d_lead]
     while not rem.is_zero():
+        checkpoint()
         r_lead = max(rem.terms, key=_grlex_key)
         q_exps = tuple(a - b for a, b in zip(r_lead, d_lead))
         if any(e < 0 for e in q_exps):
@@ -430,6 +439,7 @@ def prem(p: Poly, q: Poly, v: int) -> Poly:
     rem = p
     steps = p.degree(v) - dq + 1
     while not rem.is_zero() and rem.degree(v) >= dq:
+        checkpoint()
         dr = rem.degree(v)
         lead = rem.coeff_of_power(v, dr)
         shift = Poly.var(p.nvars, v) ** (dr - dq)
@@ -499,6 +509,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if a.degree(v) < b.degree(v):
         a, b = b, a
     while True:
+        checkpoint()
         r = prem(a, b, v)
         if r.is_zero():
             g = b
@@ -555,6 +566,7 @@ def _resultant_any(p: Poly, q: Poly, v: int) -> Poly:
     g = Poly.one(p.nvars)
     h = Poly.one(p.nvars)
     while True:
+        checkpoint()
         da, db = a.degree(v), b.degree(v)
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:

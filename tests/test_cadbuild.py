@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cadlab import cadbuild
 from cadlab.cadbuild import (
     Cell,
     build_cad,
@@ -14,10 +15,18 @@ from cadlab.cadbuild import (
     sector_points,
 )
 from cadlab.errors import NotWellOrientedError
-from cadlab.formulas import Atom, BoolOp, Const
+from cadlab.formulas import (
+    Atom,
+    BoolOp,
+    Const,
+    enumerate_designations,
+    identify_ecs,
+    propagate_ecs,
+)
 from cadlab.ordering import VarOrdering
 from cadlab.polys import Poly
 from cadlab.problem import Problem
+from cadlab.projection import projection_levels
 from cadlab.randgen import RandomProfile, random_problems
 from cadlab.realroots import (
     AlgebraicNumber,
@@ -343,6 +352,25 @@ class TestEcReduced:
         for t in (t0, t1):
             _, n = evaluate_formula_on_cells(t, formula)
             assert n == 2
+
+    def test_projection_levels_computed_once_per_designation(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("designations"))
+            return projection_levels(*args, **kwargs)
+
+        monkeypatch.setattr(cadbuild, "projection_levels", counting)
+        formula = BoolOp("and", (Atom(CIRCLE, "="), Atom(CIRCLE2, "=")))
+        prob = Problem("two", ("x", "y"), formula=formula)
+        scored = list(enumerate_designations(propagate_ecs(identify_ecs(formula), XY)))
+        assert len(scored) > 1
+        build_cad(prob, XY, mode="ec")
+        # the build lifts over the winning designation's scored levels
+        assert len(calls) == len(scored)
+        calls.clear()
+        build_cad(prob, XY, mode="ec", designation=1)
+        assert len(calls) == 1
 
     @pytest.mark.xfail(strict=True, reason="a designated EC vanishing identically over a "
                        "0-dimensional cell lifts no sections, so the other ECs' roots are lost")
