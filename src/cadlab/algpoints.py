@@ -18,9 +18,10 @@ primitives drive the lifting phase:
   x_k is eliminated against E_k: the eliminant's degree in z then grows by
   deg_{x_k} E_k rather than by the degree of the coordinate's univariate
   defining polynomial, which multiplies over the levels.  Coordinates
-  without a tower polynomial go through their defining polynomials, and a
-  tower eliminant that vanishes identically is replaced by the untowered
-  one, so every sign stays exact.
+  without a tower polynomial go through their defining polynomials, and an
+  eliminant that vanishes identically (a tower polynomial sharing a factor
+  with the carrier once the lower coordinates are in) is replaced by the
+  untowered one, so every sign stays exact.
 
 * :func:`roots_above`: the real roots of p(sample, v) as algebraic numbers.
   Candidates come from iterated resultants against the coordinates' defining
@@ -33,7 +34,7 @@ primitives drive the lifting phase:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 from .dense import dense_from_poly
 from .errors import checkpoint
@@ -41,6 +42,9 @@ from .polys import Poly, _resultant_any, discriminant, divexact, poly_gcd, squar
 from .realroots import AlgebraicNumber, _sign_at, isolate_real_roots, sign_at
 
 __all__ = ["sign_at_point", "roots_above", "Nullified"]
+
+# coordinate k -> E_k(x_0..x_k), or None where the sample has no tower polynomial
+Tower = Callable[[int], Poly | None]
 
 _REFINE_ROUNDS_BEFORE_EXACT = 24
 # with the root gap known, one of the loop's exits fires long before this
@@ -65,13 +69,13 @@ def _split_coords(
 
 
 def sign_at_point(
-    p: Poly, point: Sequence[AlgebraicNumber], tower: Mapping[int, Poly] | None = None
+    p: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = None
 ) -> int:
     """Exact sign of p at the sample point (coordinates are variables 0..k-1).
 
-    ``tower`` maps a coordinate k to a polynomial E_k in x_0..x_k that
-    vanishes at point[:k+1] and whose leading coefficient in x_k is nonzero
-    at point[:k]; the zero certificate eliminates x_k against it.
+    ``tower(k)`` is None or a polynomial E_k in x_0..x_k that vanishes at
+    point[:k+1] and whose leading coefficient in x_k is nonzero at
+    point[:k]; the zero certificate eliminates x_k against it.
     """
     if any(p.contains_var(v) for v in range(len(point), p.nvars)):
         raise ValueError("polynomial has a variable beyond the sample point")
@@ -82,7 +86,7 @@ def _refined_sign(
     q: Poly,
     point: Sequence[AlgebraicNumber],
     gap: Fraction | None = None,
-    tower: Mapping[int, Poly] | None = None,
+    tower: Tower | None = None,
 ) -> int:
     """Sign of q at the sample point; q has no variable beyond it.
 
@@ -126,17 +130,16 @@ def _refined_sign(
             rounds = 0
 
 
-def _carrier(
-    q: Poly, point: Sequence[AlgebraicNumber], tower: Mapping[int, Poly] | None = None
-) -> Poly:
+def _carrier(q: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = None) -> Poly:
     """z - q, with z a new last variable, and the coordinates eliminated from it.
 
     The coordinates go from the top down.  A rational one is substituted, one
     with a tower polynomial E_k is eliminated by res_{x_k}(E_k, .), and any
     other by its defining polynomial.  The result vanishes at z = q(point) in
-    the remaining variables.  A tower eliminant that vanishes identically
-    (E_k sharing a factor with the carrier) is replaced by the carrier built
-    without the tower.
+    the remaining variables.  A tower eliminant that vanishes identically is
+    replaced by the carrier built without the tower: E_k can share a factor
+    with the carrier at the sample's lower coordinates, including rational
+    ones that E_k brings back and that are substituted only further down.
     """
     nv = q.nvars + 1
     g = Poly.var(nv, q.nvars) - _with_z(q)
@@ -147,13 +150,13 @@ def _carrier(
         if alpha.is_rational:
             g = g.substitute({k: alpha.rational_value})
             continue
-        e = None if tower is None else tower.get(k)
+        e = None if tower is None else tower(k)
         if e is None:
             g, _split = _eliminate_coordinate(g, k, alpha)
-            continue
-        g = _resultant_any(_with_z(e), g, k)
-        if g.is_zero():
-            return _carrier(q, point)
+        else:
+            g = _resultant_any(_with_z(e), g, k)
+    if tower is not None and g.is_zero():
+        return _carrier(q, point)
     return g
 
 

@@ -12,10 +12,10 @@ intervals, and the nearest integer beyond the outermost bounds.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
 from .algpoints import Nullified, roots_above, sign_at_point
 from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
@@ -26,10 +26,11 @@ from .formulas import (
     evaluate_signs,
     identify_ecs,
     propagate_ecs,
+    score_designation,
 )
 from .ordering import VarOrdering
 from .polys import Poly, distinct_normalized
-from .projection import ProjectionLevels, projection_levels, sotd_value
+from .projection import ProjectionLevels, projection_levels
 from .realroots import AlgebraicNumber, _merge_roots, isolate_real_roots, merge_distinct
 
 __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_fulldim",
@@ -178,7 +179,7 @@ class CADTree:
             if leaf.signs is not None:
                 continue
             chain = [ancestors[leaf.index[:j]] for j in range(1, leaf.level)] + [leaf]
-            tower = _SectionTower(self, chain)
+            tower = partial(self._tower_poly, chain)
             signs = []
             for j, p in enumerate(self._relabeled_inputs):
                 checkpoint()
@@ -188,19 +189,20 @@ class CADTree:
                     signs.append(sign_at_point(p, leaf.sample, tower))
             leaf.signs = tuple(signs)
 
-    def _tower_poly(self, cell: Cell, tower: Mapping[int, Poly]) -> Poly | None:
-        """The cell's entry in a section tower, memoized per cell.
+    def _tower_poly(self, chain: Sequence[Cell], k: int) -> Poly | None:
+        """Coordinate k's entry in the section tower along ``chain``.
 
-        Of the polynomials lifted over at the cell's level that vanish on it,
-        the lowest-degree one in the cell's last coordinate x_k whose leading
-        coefficient in x_k is nonzero at the base sample (signed through
-        ``tower``, which covers the base's coordinates); None for a rational
-        coordinate or when no such polynomial beats the coordinate's own
-        defining polynomial in degree.
+        ``chain`` lists a leaf's ancestors from level 1, then the leaf.  The
+        entry is picked when a zero certificate first asks for it and memoized
+        per cell: of the polynomials lifted over at level k+1 that vanish on
+        ``chain[k]``, the lowest-degree one in x_k whose leading coefficient in
+        x_k is nonzero at the base sample (signed through the tower below);
+        None for a rational coordinate or when no such polynomial beats the
+        coordinate's own defining polynomial in degree.
         """
+        cell = chain[k]
         if cell.index in self._tower_polys:
             return self._tower_polys[cell.index]
-        k = cell.level - 1
         alpha = cell.sample[k]
         pick = None
         if not alpha.is_rational:
@@ -208,7 +210,8 @@ class CADTree:
             for e in owners:
                 if not 0 < e.degree(k) < len(alpha.coeffs) - 1:
                     continue
-                if sign_at_point(e.leading_coeff(k), cell.sample[:k], tower) != 0:
+                lc = e.leading_coeff(k)
+                if sign_at_point(lc, cell.sample[:k], partial(self._tower_poly, chain)) != 0:
                     pick = e
                     break
         self._tower_polys[cell.index] = pick
@@ -216,31 +219,6 @@ class CADTree:
 
     def fulldim_leaf_count(self) -> int:
         return sum(1 for c in self.levels[-1] if c.dimension == len(c.index))
-
-
-class _SectionTower(Mapping):
-    """One leaf's section tower for :func:`algpoints.sign_at_point`.
-
-    Coordinate k maps to the tower polynomial of the leaf's ancestor at level
-    k+1 (see :meth:`CADTree._tower_poly`), picked on first access: a sign
-    that interval refinement decides never needs it.
-    """
-
-    def __init__(self, tree: CADTree, chain: list[Cell]):
-        self._tree = tree
-        self._chain = chain  # the leaf's ancestors from level 1, then the leaf
-
-    def __getitem__(self, k: int) -> Poly:
-        e = self._tree._tower_poly(self._chain[k], self)
-        if e is None:
-            raise KeyError(k)
-        return e
-
-    def __iter__(self) -> Iterator[int]:
-        return (k for k in range(len(self._chain)) if k in self)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 def _input_list(source) -> tuple[list[Poly], Formula | None]:
@@ -357,7 +335,7 @@ def _choose_designation(
             levels = projection_levels(relabeled, identity, designations=d)
         except ValueError:
             continue
-        score = sotd_value(levels)
+        score = score_designation(relabeled, d, identity, levels=levels)
         if best is None or score < best[0]:
             best = (score, d, levels)
     if best is None:

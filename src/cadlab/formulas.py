@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DesignationCapError
 from .ordering import VarOrdering
 from .polys import Poly, _poly_sort_key, distinct_normalized, resultant
-from .projection import _emit, projection_levels, sotd_value
+from .projection import ProjectionLevels, _emit, projection_levels, sotd_value
 from .realroots import count_distinct_real_roots
 
 __all__ = [
@@ -239,13 +239,17 @@ def score_designation(
     designation: Mapping[int, Poly],
     ordering: VarOrdering,
     measure: str = "sotd",
+    levels: ProjectionLevels | None = None,
 ) -> int:
     """Projection size under the designation: sotd or ndrr of the level stack.
 
     Designations apply the reduced operator at their levels (level 1 carries
     no projection, so its designation is inert).  Projection errors propagate.
+    A caller that goes on to lift over the designation's levels computes them
+    and passes them as ``levels``.
     """
-    levels = projection_levels(A, ordering, designations=designation)
+    if levels is None:
+        levels = projection_levels(A, ordering, designations=designation)
     if measure == "sotd":
         return sotd_value(levels)
     if measure == "ndrr":

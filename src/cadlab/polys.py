@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 
-# a product whose rows are longer than this honors the deadline once per row
-_LONG_ROW = 64
-
-
 def _as_coeff(c):
     """Coefficients stay plain ints whenever integral: ints share the Rational
     protocol (.numerator/.denominator) but multiply without gcd normalization,
@@ -193,10 +189,8 @@ class Poly:
             return Poly(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], int | Fraction] = {}
-        long_rows = len(other.terms) > _LONG_ROW
         for e1, c1 in self.terms.items():
-            if long_rows:
-                checkpoint()
+            checkpoint()
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e, 0) + c1 * c2

@@ -22,6 +22,7 @@ from cadlab.formulas import (
     enumerate_designations,
     identify_ecs,
     propagate_ecs,
+    score_designation,
 )
 from cadlab.ordering import VarOrdering
 from cadlab.polys import Poly
@@ -355,19 +356,27 @@ class TestEcReduced:
 
     def test_projection_levels_computed_once_per_designation(self, monkeypatch):
         calls = []
+        scores = []
 
         def counting(*args, **kwargs):
             calls.append(kwargs.get("designations"))
             return projection_levels(*args, **kwargs)
 
+        def scoring(*args, **kwargs):
+            scores.append(kwargs.get("levels"))
+            return score_designation(*args, **kwargs)
+
         monkeypatch.setattr(cadbuild, "projection_levels", counting)
+        monkeypatch.setattr(cadbuild, "score_designation", scoring)
         formula = BoolOp("and", (Atom(CIRCLE, "="), Atom(CIRCLE2, "=")))
         prob = Problem("two", ("x", "y"), formula=formula)
         scored = list(enumerate_designations(propagate_ecs(identify_ecs(formula), XY)))
         assert len(scored) > 1
         build_cad(prob, XY, mode="ec")
-        # the build lifts over the winning designation's scored levels
+        # the build lifts over the winning designation's scored levels, and
+        # each designation is scored through score_designation on its levels
         assert len(calls) == len(scored)
+        assert len(scores) == len(scored) and all(lv is not None for lv in scores)
         calls.clear()
         build_cad(prob, XY, mode="ec", designation=1)
         assert len(calls) == 1

@@ -186,6 +186,14 @@ class TestScore:
         score = score_designation([F1, F2], d, XY, measure="ndrr")
         assert score == 3  # level 1 = {x^2-1, 2x-1}: roots -1, 1/2, 1
 
+    def test_given_levels_are_scored(self):
+        cands = propagate_ecs([F1, F2], XY)
+        for d in enumerate_designations(cands):
+            levels = projection_levels([F1, F2], XY, designations=d)
+            for measure in ("sotd", "ndrr"):
+                assert (score_designation([F1, F2], d, XY, measure, levels=levels)
+                        == score_designation([F1, F2], d, XY, measure))
+
     def test_unknown_measure(self):
         d: dict = {}
         with pytest.raises(ValueError):
