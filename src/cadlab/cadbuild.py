@@ -172,9 +172,21 @@ class CADTree:
     def ensure_signs(self) -> None:
         """Populate leaf signs for every input polynomial at the leaf samples.
 
-        Zero signs are certified through the leaf's section tower.
+        An input whose highest variable x_m lies below the top level and that
+        is (up to a rational factor) a polynomial lifted over at level m+1 is
+        0 wherever the leaf's level-(m+1) ancestor lists that polynomial in
+        its ``zero_polys``.  Other zero signs are certified through the leaf's
+        section tower.
         """
         ancestors = {c.index: c for level in self.levels[:-1] for c in level}
+        lifted_index = [{e.normalized(): i for i, e in enumerate(level)}
+                        for level in self._lifted[:-1]]
+        # owners[j]: (m, i) when input j is _lifted[m][i] with m below the top
+        owners: list[tuple[int, int] | None] = []
+        for p in self._relabeled_inputs:
+            m = p.variables()[-1]
+            i = lifted_index[m].get(p.normalized()) if m < len(lifted_index) else None
+            owners.append(None if i is None else (m, i))
         for leaf in self.levels[-1]:
             if leaf.signs is not None:
                 continue
@@ -183,7 +195,8 @@ class CADTree:
             signs = []
             for j, p in enumerate(self._relabeled_inputs):
                 checkpoint()
-                if j in leaf.zero_polys:
+                owner = owners[j]
+                if j in leaf.zero_polys or (owner and owner[1] in chain[owner[0]].zero_polys):
                     signs.append(0)
                 else:
                     signs.append(sign_at_point(p, leaf.sample, tower))

@@ -16,6 +16,18 @@ A gcd whose arguments together involve one variable runs on dense integer
 lists, through the integer PRS that root isolation shares
 (:mod:`cadlab.dense`); contents and square-free parts reach it through
 :func:`poly_gcd`.
+
+``Poly(...)`` is the one public constructor, and it validates every exponent
+tuple and coefficient.  Results built inside this module whose terms are valid
+by construction skip that pass through the private ``_adopt``: ``+``, ``-``,
+negation, ``*``, ``derivative``, ``substitute``, ``coeffs_in``,
+``coeff_of_power``, ``permute_vars``, ``normalized_with_sign``, ``divexact``
+and the ``zero``/``const``/``var`` builders.  Each keeps the invariant the
+public constructor establishes: exponent tuples of length ``nvars`` with no
+negative entry, no zero coefficient, and an ``int`` for every integral
+coefficient.  Arithmetic drops its zero sums as it goes, and where it can
+produce an integral ``Fraction`` (``+``, ``*``, ``derivative``,
+``substitute``, ``divexact``) one pass, ``_ints``, stores it as an ``int``.
 """
 
 from __future__ import annotations
@@ -56,6 +68,14 @@ def _as_coeff(c):
     raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
 
 
+def _ints(terms: dict) -> dict:
+    """Store the integral ``Fraction`` coefficients of ``terms`` as ints, in place."""
+    for e, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
@@ -94,11 +114,12 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> Poly:
-        return cls(nvars, {})
+        return _adopt(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, c) -> Poly:
-        return cls(nvars, {(0,) * nvars: _as_coeff(c)})
+        c = _as_coeff(c)
+        return _adopt(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> Poly:
@@ -123,7 +144,7 @@ class Poly:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return _adopt(nvars, {tuple(exps): 1})
 
     # -- basic queries -------------------------------------------------------
 
@@ -173,20 +194,20 @@ class Poly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Poly(self.nvars, out)
+        return _adopt(self.nvars, _ints(out))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _adopt(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
             c = _as_coeff(other)
             if c == 0:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, {e: k * c for e, k in self.terms.items()})
+            return _adopt(self.nvars, _ints({e: k * c for e, k in self.terms.items()}))
         self._check(other)
         out: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -198,7 +219,7 @@ class Poly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Poly(self.nvars, out)
+        return _adopt(self.nvars, _ints(out))
 
     __rmul__ = __mul__
 
@@ -241,7 +262,7 @@ class Poly:
             rest = list(exps)
             rest[v] = 0
             buckets[k][tuple(rest)] = c
-        return [Poly(self.nvars, b) for b in buckets]
+        return [_adopt(self.nvars, b) for b in buckets]
 
     def coeff_of_power(self, v: int, k: int) -> Poly:
         out: dict[tuple[int, ...], Fraction] = {}
@@ -250,7 +271,7 @@ class Poly:
                 rest = list(exps)
                 rest[v] = 0
                 out[tuple(rest)] = c
-        return Poly(self.nvars, out)
+        return _adopt(self.nvars, out)
 
     def leading_coeff(self, v: int) -> Poly:
         return self.coeff_of_power(v, self.degree(v))
@@ -265,7 +286,7 @@ class Poly:
             e[v] = k - 1
             key = tuple(e)
             out[key] = out.get(key, 0) + c * k
-        return Poly(self.nvars, out)
+        return _adopt(self.nvars, _ints(out))
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -297,7 +318,7 @@ class Poly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return Poly(self.nvars, out)
+        return _adopt(self.nvars, _ints(out))
 
     def interval_eval(
         self, box: Mapping[int, tuple[Fraction, Fraction]]
@@ -324,7 +345,7 @@ class Poly:
         """Relabel variables: new variable j holds what perm[j] held before."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("perm must be a permutation of all variables")
-        return Poly(
+        return _adopt(
             self.nvars,
             {tuple(exps[perm[j]] for j in range(self.nvars)): c for exps, c in self.terms.items()},
         )
@@ -344,7 +365,7 @@ class Poly:
         gcd = math.gcd(*(c.numerator * (lcm // c.denominator) for c in self.terms.values()))
         lead = max(self.terms, key=_grlex_key)
         sign = 1 if self.terms[lead] > 0 else -1
-        return Poly(self.nvars, {
+        return _adopt(self.nvars, {
             e: sign * c.numerator * (lcm // c.denominator) // gcd for e, c in self.terms.items()
         }), sign
 
@@ -382,6 +403,24 @@ class Poly:
         return f"Poly({self.to_string()})"
 
 
+# the slots' own setters: they pass Poly.__setattr__'s immutability guard and
+# cost less than object.__setattr__ on this path
+_set_nvars, _set_terms, _set_hash = Poly.nvars.__set__, Poly.terms.__set__, Poly._hash.__set__
+
+
+def _adopt(nvars: int, terms: dict) -> Poly:
+    """The ``Poly`` owning ``terms`` as given, without ``Poly.__init__``'s checks.
+
+    For results built in this module only: the caller guarantees the invariant
+    in the module docstring and hands over a dict no one else holds.
+    """
+    p = object.__new__(Poly)
+    _set_nvars(p, nvars)
+    _set_terms(p, terms)
+    _set_hash(p, None)
+    return p
+
+
 def _interval_mul(alo, ahi, blo, bhi):
     products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     return min(products), max(products)
@@ -415,9 +454,10 @@ def divexact(p: Poly, d: Poly) -> Poly:
         if any(e < 0 for e in q_exps):
             raise ArithmeticError("inexact polynomial division")
         q_c = Fraction(rem.terms[r_lead], d_lc)
+        q_c = q_c.numerator if q_c.denominator == 1 else q_c
         quotient[q_exps] = q_c
-        rem = rem - Poly(p.nvars, {q_exps: q_c}) * d
-    return Poly(p.nvars, quotient)
+        rem = rem - _adopt(p.nvars, {q_exps: q_c}) * d
+    return _adopt(p.nvars, quotient)
 
 
 def prem(p: Poly, q: Poly, v: int) -> Poly:

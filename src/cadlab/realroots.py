@@ -137,12 +137,21 @@ def _small_divisors(n: int) -> list[int] | None:
     return sorted(divs)
 
 
+def _divides(d: int, n: int) -> bool:
+    return n % d == 0 if d else n == 0
+
+
 def _rational_roots(c: list[int]) -> tuple[list[Fraction], list[int]]:
     """Extract exact rational roots by the rational-root theorem (capped).
 
-    Returns (roots, remaining coefficients).  With huge extreme coefficients
-    the search is skipped; such rational roots then stay interval-encoded,
-    which every consumer handles.
+    Returns (roots, remaining coefficients): a zero root first, then the
+    others ascending, divided out in that order.  A root p/q in lowest terms
+    (q > 0) has p dividing c[0] and q dividing c[-1]; by Gauss's lemma
+    c = (q*x - p) * g with g integral, so (q - p) divides c(1) and (q + p)
+    divides c(-1).  The search runs over the coprime pairs of divisors and
+    evaluates only the signed pairs that pass both tests.  With huge extreme
+    coefficients the search is skipped; such rational roots then stay
+    interval-encoded, which every consumer handles.
     """
     roots: list[Fraction] = []
     if len(c) > 1 and c[0] == 0:
@@ -159,11 +168,20 @@ def _rational_roots(c: list[int]) -> tuple[list[Fraction], list[int]]:
     dens = _small_divisors(c[-1])
     if nums is None or dens is None:
         return roots, c
-    candidates = sorted({Fraction(s * p, q) for p in nums for q in dens for s in (1, -1)})
-    for cand in candidates:
-        if len(c) > 1 and _sign_at(c, cand) == 0:
-            roots.append(cand)
-            c = _div_exact(c, [-cand.numerator, cand.denominator])
+    at_one = sum(c)
+    at_minus_one = sum(c[0::2]) - sum(c[1::2])
+    found = sorted(
+        Fraction(p, q)
+        for q in dens
+        for a in nums
+        if math.gcd(a, q) == 1
+        for p in (a, -a)
+        if _divides(q - p, at_one) and _divides(q + p, at_minus_one)
+        and _sign_at(c, Fraction(p, q)) == 0
+    )
+    for r in found:
+        roots.append(r)
+        c = _div_exact(c, [-r.numerator, r.denominator])
     return roots, c
 
 

@@ -146,3 +146,40 @@ def test_kernel_has_no_floats(module):
         )
     ]
     assert found == []
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]), ids=lambda p: p.name
+)
+def test_trusted_constructor_stays_inside_polys(path):
+    # polys._adopt skips validation: only polys' own results may use it
+    if path == SRC / "polys.py":
+        return
+    assert "_adopt" not in set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+class TestPublicConstructorValidates:
+    def test_float_coefficient(self):
+        with pytest.raises(TypeError, match="rational"):
+            Poly(2, {(1, 0): 0.5})
+
+    def test_wrong_length_exponent_tuple(self):
+        with pytest.raises(ValueError, match="exponent"):
+            Poly(2, {(1, 0, 0): 1})
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="exponent"):
+            Poly(2, {(1, -1): 1})

@@ -348,6 +348,43 @@ class TestDegreeStats:
         assert degree_stats([p * Fraction(scale, 3) for p in polys], 2) == base
 
 
+COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)), COEFFS, max_size=4
+)
+
+
+def _assert_canonical(r: Poly):
+    """r holds what the validating constructor would store for its terms."""
+    assert _typed(r) == _typed(Poly(r.nvars, r.terms))
+    assert all(c != 0 for c in r.terms.values())
+
+
+class TestInternalResultsAreCanonical:
+    """Results built without re-validation keep the public constructor's invariant."""
+
+    @given(TERMS, TERMS, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    @settings(max_examples=150, deadline=None)
+    def test_operations(self, a, b, value):
+        p, q = Poly(3, a), Poly(3, b)
+        results = [p + q, p - q, p - p, p * q, -p, p * value, p.derivative(0), p.derivative(2),
+                   p.substitute({0: value}), p.substitute({1: value, 2: -value}),
+                   *p.coeffs_in(1), p.coeff_of_power(0, 1), p.normalized(),
+                   p.permute_vars((2, 0, 1)), Poly.const(3, value), Poly.zero(3)]
+        if not q.is_zero():
+            results.append(divexact(p * q, q))
+            assert divexact(p * q, q) == p
+        for r in results:
+            _assert_canonical(r)
+
+    def test_integral_fraction_product_is_stored_as_int(self):
+        product = P({(1, 0): Fraction(2, 3)}) * P({(0, 1): Fraction(3, 2)})
+        assert _typed(product) == {(1, 1): ("int", 1)}
+
+
 class TestNormalization:
     def test_integer_primitive_positive_lead(self):
         p = P({(2, 0): Fraction(-2, 3), (0, 0): Fraction(4, 3)})

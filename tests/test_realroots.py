@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadlab.polys import Poly
+from cadlab.dense import _div_exact
 from cadlab.realroots import (
+    _TRIAL_CAP,
     AlgebraicNumber,
+    _rational_roots,
+    _sign_at,
+    _small_divisors,
     compare,
     count_distinct_real_roots,
     isolate_real_roots,
@@ -234,6 +239,84 @@ def test_sympy_oracle_agreement_seeded():
             if r.is_Rational:
                 # every coefficient here is far inside the rational-root trial cap
                 assert inside[0].is_rational and inside[0].rational_value == F(r.p, r.q), (c, r)
+
+
+def _reference_rational_roots(c):
+    """The rational-root search as a sorted set of ``Fraction`` candidates,
+    each evaluated in turn and divided out when it is a root."""
+    roots = []
+    if len(c) > 1 and c[0] == 0:
+        roots.append(F(0))
+        c = c[1:]
+    if len(c) <= 1:
+        return roots, c
+    if len(c) == 2 and max(abs(c[0]), abs(c[1])) <= _TRIAL_CAP * _TRIAL_CAP:
+        r = F(-c[0], c[1])
+        return roots + [r], _div_exact(c, [-r.numerator, r.denominator])
+    nums = _small_divisors(c[0])
+    dens = _small_divisors(c[-1])
+    if nums is None or dens is None:
+        return roots, c
+    for cand in sorted({F(s * p, q) for p in nums for q in dens for s in (1, -1)}):
+        if len(c) > 1 and _sign_at(c, cand) == 0:
+            roots.append(cand)
+            c = _div_exact(c, [-cand.numerator, cand.denominator])
+    return roots, c
+
+
+def _typed_search(result):
+    roots, remaining = result
+    return [(type(r), r) for r in roots], [(type(x), x) for x in remaining]
+
+
+def _planted(roots, cofactor):
+    """cofactor * prod (q*x - p) over the planted roots p/q, low to high."""
+    c = list(cofactor)
+    for r in roots:
+        r = F(r)
+        c = [a * r.denominator - b * r.numerator for a, b in zip([0] + c, c + [0])]
+    return c
+
+
+class TestRationalRootSearch:
+    """The divisor-pair search against the ``Fraction``-set enumeration."""
+
+    @pytest.mark.parametrize("roots, cofactor", [
+        # numerators and denominators with many divisors
+        ([F(360, 7), F(7, 720), F(-11, 360), F(-720, 1)], [720, 0, 360]),
+        ([F(-360, 719), F(1, 2), F(5, 12)], [1, 1, 720]),
+        # the roots 1 and -1, where q - p or q + p is 0
+        ([F(1), F(-1)], [360, -1, 2]),
+        ([F(1)], [-3, 0, 0, 5]),
+        ([F(-1), F(2, 3)], [7, 2, 720]),
+        # a zero root, alone and with others
+        ([F(0)], [6, -5, 1]),
+        ([F(0), F(-2), F(3, 4)], [5, 0, 3]),
+        # no rational root at all
+        ([], [720, 0, 0, 0, 360]),
+        # a leading coefficient past _TRIAL_CAP**2: the search is skipped
+        ([F(1, 400000009), F(2)], [1, 1]),
+        ([F(0), F(3)], [_TRIAL_CAP * _TRIAL_CAP + 1, 0, 1]),
+    ])
+    def test_pinned_inputs_match_the_reference(self, roots, cofactor):
+        c = _planted(roots, cofactor)
+        assert _typed_search(_rational_roots(c)) == _typed_search(_reference_rational_roots(c))
+
+    def test_past_the_trial_cap_nothing_is_found(self):
+        c = _planted([F(2)], [_TRIAL_CAP * _TRIAL_CAP + 1, 0, 1])
+        assert _rational_roots(c) == ([], c)
+
+    def test_seeded_planted_roots_match_the_reference(self):
+        rng = random.Random(909)
+        for _ in range(300):
+            roots = {F(rng.choice([-1, 1]) * rng.choice([0, 1, 2, 3, 5, 8, 12, 45, 360, 720]),
+                       rng.choice([1, 2, 3, 7, 16, 360, 720]))
+                     for _ in range(rng.randint(0, 4))}
+            cofactor = [rng.randint(-20, 20) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 9)]
+            if cofactor[0] == 0 and len(cofactor) > 1:
+                cofactor[0] = 1
+            c = _planted(sorted(roots), cofactor)
+            assert _typed_search(_rational_roots(c)) == _typed_search(_reference_rational_roots(c)), c
 
 
 class TestCount:

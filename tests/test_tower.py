@@ -13,18 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from cadlab import algpoints
+from cadlab import algpoints, cadbuild
 from cadlab.algpoints import _carrier, sign_at_point
 from cadlab.cadbuild import build_cad, evaluate_formula_on_cells
-from cadlab.errors import ComputeTimeout, Deadline, scoped_deadline
+from cadlab.errors import ComputeTimeout, Deadline, NotWellOrientedError, scoped_deadline
 from cadlab.heuristics import brown_order
 from cadlab.ordering import VarOrdering
-from cadlab.polys import Poly
+from cadlab.polys import Poly, discriminant, squarefree_part
 from cadlab.randgen import RandomProfile, random_problems
 from cadlab.realroots import AlgebraicNumber
 
 SQRT2 = AlgebraicNumber((-2, 0, 1), Fraction(1), Fraction(2))
 HALF_SQRT2 = AlgebraicNumber((-1, 0, 2), Fraction(0), Fraction(1))
+XYZ = VarOrdering((0, 1, 2))
 EC3D = RandomProfile(nvars=3, npolys=3, max_degree=2, max_terms=4, coeff_range=5,
                      equality_fraction=0.7)
 
@@ -57,16 +58,79 @@ def _brown_tree(problem, mode, deadline=None):
     return build_cad(problem, ordering, mode=mode, deadline=deadline)
 
 
+def _with_squared_discriminant(problem):
+    """The inputs plus disc_{x2}(p)^2 for the first input p of degree >= 2 in
+    x2 whose discriminant involves x1.
+
+    The square is not square-free in x1, so it is not among the polynomials
+    lifted at level 2; its zeros there reach the zero certificate instead of
+    being read off the ancestors' ``zero_polys``.
+    """
+    polys = problem.input_polys()
+    discs = [discriminant(p, 2) for p in polys if p.degree(2) >= 2]
+    return polys + [d**2 for d in discs if d.degree(1) > 0][:1]
+
+
+def _differential_trees(mode):
+    """Trees whose leaves still reach a zero certificate through the tower.
+
+    An input equal to a polynomial lifted at its level has its zeros read
+    off the ancestors' ``zero_polys``.  In EC mode the inputs below the top
+    that a designated level does not lift still need the certificate; in
+    sign mode every input is lifted at its level, so one input that is not
+    square-free in its main variable is added.
+    """
+    if mode == "sign":
+        problem = random_problems(8005, 57, EC3D)[56]
+        yield problem, build_cad(_with_squared_discriminant(problem), XYZ)
+        return
+    for problem in random_problems(8002, 40, EC3D):
+        try:
+            tree = _brown_tree(problem, mode)
+        except NotWellOrientedError:
+            continue
+        yield problem, tree
+
+
 class TestDifferential:
     @pytest.mark.parametrize("mode", ["ec", "sign"])
     def test_towered_signs_equal_untowered(self, mode, towered_carriers):
-        for problem in random_problems(8002, 12, EC3D):
-            tree = _brown_tree(problem, mode)
+        for problem, tree in _differential_trees(mode):
             tree.ensure_signs()
             for leaf in tree.leaves():
                 plain = tuple(sign_at_point(p, leaf.sample) for p in tree._relabeled_inputs)
                 assert leaf.signs == plain, (problem.name, leaf.index)
         assert towered_carriers[0] > 0
+
+
+def _squarefree_in_main_variable(p: Poly) -> bool:
+    return squarefree_part(p, p.variables()[-1]).normalized() == p.normalized()
+
+
+class TestStructuralZeros:
+    def test_sign_mode_zeros_are_read_off_the_ancestors(self, monkeypatch):
+        # in sign mode every input is lifted at its level, square-freed in its
+        # main variable, so the zeros of the square-free inputs, below the top
+        # level too, come from zero_polys without a certificate
+        certified_zeros = []
+        inner = cadbuild.sign_at_point
+
+        def recording(p, point, tower=None):
+            s = inner(p, point, tower)
+            if s == 0:
+                certified_zeros.append(p)
+            return s
+
+        monkeypatch.setattr(cadbuild, "sign_at_point", recording)
+        lower_zeros = 0
+        for problem in random_problems(8002, 12, EC3D):
+            tree = _brown_tree(problem, "sign")
+            tree.ensure_signs()
+            lower = [j for j, p in enumerate(tree._relabeled_inputs) if not p.contains_var(2)]
+            lower_zeros += sum(leaf.signs[j] == 0 for leaf in tree.leaves() for j in lower)
+        assert lower_zeros > 0
+        # x1^2 (problem 9) is lifted as x1, so its zeros are still certified
+        assert certified_zeros and not any(map(_squarefree_in_main_variable, certified_zeros))
 
 
 class TestEdgeCases:
