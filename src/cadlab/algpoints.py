@@ -29,11 +29,26 @@ primitives drive the lifting phase:
   when the substituted polynomial is provably square-free (leading-coefficient
   and discriminant signs at the sample), falling back to exact zero tests in
   the same refinement loop.
+
+  Base cells whose algebraic coordinates are roots of the same defining
+  polynomials (conjugates such as the two roots of x^2 - 2) often give the
+  same substituted polynomial, and most of the work on it does not depend on
+  which root is meant: the square-free part, the eliminant with its isolated
+  candidates, and on the exact-zero path the carrier's elimination prefix and
+  each candidate's eliminant.  A caller lifting one level passes one
+  ``shared`` dict for every base cell, and that work is done once per key:
+  the substituted, truncated polynomial, the lift variable, and each live
+  coordinate's index and defining polynomial.  A result is stored only when
+  no gcd split a factor off while it was computed; a split depends on the
+  root, so the next conjugate computes its own.  The coefficient signs, true
+  degree, discriminant sign, endpoint signs and exact zero tests are signs at
+  the sample and run for every base cell.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .dense import dense_from_poly
@@ -141,8 +156,17 @@ def _carrier(q: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = No
     with the carrier at the sample's lower coordinates, including rational
     ones that E_k brings back and that are substituted only further down.
     """
+    return _split_carrier(q, point, tower)[0]
+
+
+def _split_carrier(
+    q: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = None
+) -> tuple[Poly, bool]:
+    """:func:`_carrier`, plus whether a gcd split anything on the way (see
+    :func:`_eliminate_coordinate`)."""
     nv = q.nvars + 1
     g = Poly.var(nv, q.nvars) - _with_z(q)
+    split = False
     for k in range(len(point) - 1, -1, -1):
         if not g.contains_var(k):
             continue
@@ -152,12 +176,13 @@ def _carrier(q: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = No
             continue
         e = None if tower is None else tower(k)
         if e is None:
-            g, _split = _eliminate_coordinate(g, k, alpha)
+            g, split_k = _eliminate_coordinate(g, k, alpha)
+            split = split or split_k
         else:
             g = _resultant_any(_with_z(e), g, k)
     if tower is not None and g.is_zero():
-        return _carrier(q, point)
-    return g
+        return _split_carrier(q, point)
+    return g, split
 
 
 def _with_z(p: Poly) -> Poly:
@@ -191,24 +216,27 @@ def _eliminate_coordinate(
     Factors of g that vanish on conjugate roots of the defining polynomial are
     removed from the defining polynomial; a factor vanishing at alpha itself
     is divided out of g (possible only through conjugate-contaminated
-    carriers) and reported through the second return value so callers can
-    verify completeness downstream.
+    carriers).  The second return value says whether either split happened.
+    Without one the result is res_v(defining, g), the same for every root of
+    the defining polynomial, so conjugates may share it; after one it depends
+    on which root alpha is, and a split carrier also tells callers to verify
+    completeness downstream.
     """
     if not g.contains_var(v):
         return g, False
     nv = g.nvars
     d = Poly.from_dense(nv, v, alpha.coeffs)
-    split_carrier = False
+    split = False
     while True:
         w = poly_gcd(d, g)
         if w.is_constant():
             break
+        split = True
         w_dense = dense_from_poly(w, v)
         if (_sign_at(w_dense, alpha.lo) > 0) != (_sign_at(w_dense, alpha.hi) > 0):
             # alpha is a root of the shared factor: g vanishes identically at
             # alpha in the remaining variables; strip the factor and continue
             g = divexact(g, w)
-            split_carrier = True
             if g.is_constant() or not g.contains_var(v):
                 break
             continue
@@ -218,16 +246,33 @@ def _eliminate_coordinate(
             # happen for a valid algebraic number
             raise AssertionError("defining polynomial exhausted")
     if not g.contains_var(v):
-        return g, split_carrier
-    return _resultant_any(d, g, v), split_carrier
+        return g, split
+    return _resultant_any(d, g, v), split
 
 
-def roots_above(p: Poly, point: Sequence[AlgebraicNumber], v: int) -> list[AlgebraicNumber]:
+def _shared_or_computed(shared: dict, key: tuple, compute: Callable[[], tuple[object, bool]]):
+    """``compute()``'s (value, split), stored in ``shared`` under ``key``
+    unless split; a stored value comes back with split False."""
+    if key in shared:
+        return shared[key], False
+    value, split = compute()
+    if not split:
+        shared[key] = value
+    return value, split
+
+
+def roots_above(
+    p: Poly, point: Sequence[AlgebraicNumber], v: int, shared: dict | None = None
+) -> list[AlgebraicNumber]:
     """Real roots of p(point, v), sorted ascending.
 
     Raises :class:`Nullified` when the substituted polynomial vanishes
-    identically.
+    identically.  ``shared`` holds the point-free work of earlier calls (see
+    the module docstring); callers lifting one level pass the same dict for
+    every base cell.
     """
+    if shared is None:
+        shared = {}
     rational, algebraic = _split_coords(point)
     q = p.substitute(rational) if rational else p
     live = [i for i in algebraic if q.contains_var(i)]
@@ -238,8 +283,10 @@ def roots_above(p: Poly, point: Sequence[AlgebraicNumber], v: int) -> list[Algeb
             return []
         # isolation divides out gcd(q, q') itself
         return list(isolate_real_roots(q, v))
-    q = squarefree_part(q, v)
-    coords = {i: algebraic[i] for i in live}
+    if ("squarefree", q, v) not in shared:
+        shared["squarefree", q, v] = squarefree_part(q, v)
+    q = shared["squarefree", q, v]
+    defining = tuple((i, algebraic[i].coeffs) for i in live)
     # exact coefficient signs decide nullification and the true degree
     coeffs = q.coeffs_in(v)
     signs = [0 if c.is_zero() else sign_at_point(c, point) for c in coeffs]
@@ -249,33 +296,34 @@ def roots_above(p: Poly, point: Sequence[AlgebraicNumber], v: int) -> list[Algeb
     if true_deg == 0:
         return []
     trunc = Poly(q.nvars, {e: c for e, c in q.terms.items() if e[v] <= true_deg})
-    eliminant = trunc
-    contaminated = False
-    for i, alpha in sorted(coords.items()):
-        eliminant, split = _eliminate_coordinate(eliminant, i, alpha)
-        contaminated = contaminated or split
-    if not eliminant.contains_var(v):
-        # a constant eliminant certifies p(point, v) has no real roots
-        return []
-    candidates = list(isolate_real_roots(eliminant, v))
+    key = (trunc, v, defining)
+
+    def isolate_candidates() -> tuple[tuple[AlgebraicNumber, ...], bool]:
+        eliminant = trunc
+        split = False
+        for i in live:
+            eliminant, split_i = _eliminate_coordinate(eliminant, i, algebraic[i])
+            split = split or split_i
+        if not eliminant.contains_var(v):
+            # a constant eliminant certifies p(point, v) has no real roots
+            return (), split
+        return isolate_real_roots(eliminant, v), split
+
+    candidates, contaminated = _shared_or_computed(shared, ("candidates", *key), isolate_candidates)
     if not candidates:
         return []
     out: list[AlgebraicNumber] = []
     gap_signs: list[int] = []
     if not _substitution_squarefree(trunc, point, v, true_deg):
         # exact zero tests against a z - p carrier; the base-coordinate
-        # elimination prefix and per-defining eliminants are shared across
-        # the candidates
-        prefix = _carrier(trunc, point)
+        # elimination prefix and per-defining eliminants are shared
+        prefix, _ = _shared_or_computed(shared, ("prefix", *key),
+                                        lambda: _split_carrier(trunc, point))
         z = trunc.nvars
-        cache: dict = {}
         for beta in candidates:
             checkpoint()
-            g = cache.get(beta.coeffs)
-            if g is None:
-                g, split = _eliminate_coordinate(prefix, v, beta)
-                if not split:
-                    cache[beta.coeffs] = g
+            g, _ = _shared_or_computed(shared, ("eliminant", prefix, v, beta.coeffs),
+                                       partial(_eliminate_coordinate, prefix, v, beta))
             if _refined_sign(trunc, (*point, beta), _root_gap(g, z)) == 0:
                 out.append(beta)
         return out
@@ -290,7 +338,8 @@ def roots_above(p: Poly, point: Sequence[AlgebraicNumber], v: int) -> list[Algeb
         if lo_sign != hi_sign:
             out.append(beta)
     if contaminated:
-        # conjugate contamination can in principle drop candidates; for the
+        # a gcd split makes the candidates depend on this sample's roots, and
+        # conjugate contamination can in principle drop some; for the
         # square-free case sign changes across the candidate gaps are a
         # complete detector of missed roots
         for s1, s2 in zip(gap_signs[1::2], gap_signs[2::2]):

@@ -79,13 +79,15 @@ def sector_points(roots: Sequence[AlgebraicNumber]) -> list[Fraction]:
     return out
 
 
-def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
+def build_stack(base: Cell, polys: Sequence[Poly], shared: dict | None = None) -> Stack:
     """Split the line above ``base`` on the real roots of ``polys``.
 
     The lift variable is the next coordinate after the base sample.  Raises
     :class:`NotWellOrientedError` when a polynomial vanishes identically over
     a positive-dimensional base; over a zero-dimensional base such polynomials
     simply contribute no sections (their sign is 0 across the stack).
+    ``shared`` is handed to :func:`roots_above`: one dict for every base cell
+    of a level lets conjugate base cells share their eliminations.
     """
     v = len(base.sample)
     found: list[tuple[AlgebraicNumber, int]] = []
@@ -98,7 +100,7 @@ def build_stack(base: Cell, polys: Sequence[Poly]) -> Stack:
             # handled at the level where its own main variable is lifted
             continue
         try:
-            found.extend((root, idx) for root in roots_above(p, base.sample, v))
+            found.extend((root, idx) for root in roots_above(p, base.sample, v, shared))
         except Nullified:
             if base.dimension > 0:
                 raise NotWellOrientedError(
@@ -172,21 +174,25 @@ class CADTree:
     def ensure_signs(self) -> None:
         """Populate leaf signs for every input polynomial at the leaf samples.
 
-        An input whose highest variable x_m lies below the top level and that
-        is (up to a rational factor) a polynomial lifted over at level m+1 is
-        0 wherever the leaf's level-(m+1) ancestor lists that polynomial in
-        its ``zero_polys``.  Other zero signs are certified through the leaf's
-        section tower.
+        An input whose highest variable is x_m has one sign on each cell of
+        level m+1 and every cell above it, so it is signed once per level-(m+1)
+        ancestor, at that ancestor's sample and through its section tower, and
+        every leaf above the ancestor reads that sign (for an input in the top
+        variable the ancestor is the leaf itself).  The sign is 0 with no
+        certificate when the input is, up to a rational factor, a polynomial
+        lifted over at level m+1 that the ancestor lists in its
+        ``zero_polys``; other zero signs are certified through the tower.
         """
         ancestors = {c.index: c for level in self.levels[:-1] for c in level}
-        lifted_index = [{e.normalized(): i for i, e in enumerate(level)}
-                        for level in self._lifted[:-1]]
-        # owners[j]: (m, i) when input j is _lifted[m][i] with m below the top
-        owners: list[tuple[int, int] | None] = []
+        lifted_index = [{e.normalized(): i for i, e in enumerate(level)} for level in self._lifted]
+        # where[j]: (m, i) for input j with highest variable x_m; i indexes it
+        # among the polynomials lifted over at level m+1, or is None
+        where = []
         for p in self._relabeled_inputs:
             m = p.variables()[-1]
-            i = lifted_index[m].get(p.normalized()) if m < len(lifted_index) else None
-            owners.append(None if i is None else (m, i))
+            where.append((m, lifted_index[m].get(p.normalized())))
+        # (input, ancestor index) -> sign, for this call only
+        signs_at: dict[tuple[int, tuple[int, ...]], int] = {}
         for leaf in self.levels[-1]:
             if leaf.signs is not None:
                 continue
@@ -194,12 +200,14 @@ class CADTree:
             tower = partial(self._tower_poly, chain)
             signs = []
             for j, p in enumerate(self._relabeled_inputs):
-                checkpoint()
-                owner = owners[j]
-                if j in leaf.zero_polys or (owner and owner[1] in chain[owner[0]].zero_polys):
-                    signs.append(0)
-                else:
-                    signs.append(sign_at_point(p, leaf.sample, tower))
+                m, i = where[j]
+                cell = chain[m]
+                s = signs_at.get((j, cell.index))
+                if s is None:
+                    checkpoint()
+                    zero = i is not None and i in cell.zero_polys
+                    s = signs_at[j, cell.index] = 0 if zero else sign_at_point(p, cell.sample, tower)
+                signs.append(s)
             leaf.signs = tuple(signs)
 
     def _tower_poly(self, chain: Sequence[Cell], k: int) -> Poly | None:
@@ -287,9 +295,10 @@ def build_cad(
             else:
                 stack_polys = list(levels.level(k))
             next_cells: list[Cell] = []
+            shared: dict = {}  # the level's point-free root-isolation work
             for base in current:
                 checkpoint()
-                next_cells.extend(build_stack(base, stack_polys).cells)
+                next_cells.extend(build_stack(base, stack_polys, shared).cells)
             tree_levels.append(next_cells)
             lifted.append(tuple(stack_polys))
             current = next_cells

@@ -3,7 +3,10 @@
 Polynomials live in Q[x_0, ..., x_{n-1}].  A coefficient is stored as an
 ``int`` when it is integral and as a ``fractions.Fraction`` otherwise, so the
 ring operations run in integer arithmetic on integer polynomials (the common
-case); there is no floating point anywhere in this module.  Variables are
+case); there is no floating point anywhere in this module.  Interval
+enclosures (``interval_eval``) take the same route: the box and the
+coefficients are cleared to common denominators and the interval products
+and sums run on ints, one positive scale divided out at the end.  Variables are
 plain integer indices into the problem's declared variable sequence, monomials
 are exponent tuples of length ``nvars``, and the canonical term order is
 graded lexicographic on the exponent tuple.
@@ -323,23 +326,39 @@ class Poly:
     def interval_eval(
         self, box: Mapping[int, tuple[Fraction, Fraction]]
     ) -> tuple[Fraction, Fraction]:
-        """Enclosure of the range over a box, exact rational interval arithmetic."""
+        """Enclosure of the range over a box, by interval arithmetic on integers.
+
+        The endpoints are scaled by their common denominator ``den`` and the
+        coefficients by theirs, and a term of total degree d by a further
+        den**(top - d), ``top`` the total degree, so every term carries one
+        positive scale.  Interval products and sums commute with a positive
+        scale: dividing it out at the end gives exactly the enclosure of
+        rational interval arithmetic, with no gcd normalization on the way.
+        """
+        den = math.lcm(*(x.denominator for pair in box.values() for x in pair))
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = self.total_degree()
+        scaled = {i: (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+                  for i, (a, b) in box.items()}
+        den_pows = [den**k for k in range(top + 1)]
         lo = hi = 0
         for exps, c in self.terms.items():
             tlo, thi = 1, 1
             for i, e in enumerate(exps):
                 if not e:
                     continue
-                a, b = box[i]
+                a, b = scaled[i]
                 plo, phi = _interval_pow(a, b, e)
                 tlo, thi = _interval_mul(tlo, thi, plo, phi)
-            if c >= 0:
-                tlo, thi = tlo * c, thi * c
+            k = c.numerator * (cden // c.denominator) * den_pows[top - sum(exps)]
+            if k > 0:
+                lo += k * tlo
+                hi += k * thi
             else:
-                tlo, thi = thi * c, tlo * c
-            lo += tlo
-            hi += thi
-        return lo, hi
+                lo += k * thi
+                hi += k * tlo
+        scale = cden * den_pows[top]
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     def permute_vars(self, perm: Sequence[int]) -> Poly:
         """Relabel variables: new variable j holds what perm[j] held before."""

@@ -257,9 +257,11 @@ def refine(a: AlgebraicNumber, width) -> AlgebraicNumber:
 def sign_at(u: Sequence, alpha: AlgebraicNumber) -> int:
     """Exact sign of the univariate polynomial u at alpha.
 
-    Zero is certified through gcd(defining, u): the gcd has a root in alpha's
-    interval iff its sign-variation count there is odd (it has at most one).
-    Nonzero signs come from interval refinement.  u holds int or Fraction
+    The enclosure of u over alpha's given interval is tried first: a value
+    away from zero usually decides there.  Zero is certified through
+    gcd(defining, u): the gcd has a root in alpha's interval iff its
+    sign-variation count there is odd (it has at most one).  Other nonzero
+    signs come from interval refinement.  u holds int or Fraction
     coefficients, low to high.
     """
     u = _primitive(_strip(list(u)))
@@ -269,13 +271,6 @@ def sign_at(u: Sequence, alpha: AlgebraicNumber) -> int:
         return _sign_at(u, alpha.rational_value)
     if len(u) == 1:
         return 1 if u[0] > 0 else -1
-    g = _uni_gcd(alpha.coeffs, u)
-    if len(g) > 1:
-        sa, sb = _sign_at(g, alpha.lo), _sign_at(g, alpha.hi)
-        if sa == 0 or sb == 0:  # pragma: no cover - endpoints are non-roots of defining
-            raise AssertionError("invalid isolating interval")
-        if sa != sb:
-            return 0
     a = alpha
     while True:
         checkpoint()
@@ -284,30 +279,46 @@ def sign_at(u: Sequence, alpha: AlgebraicNumber) -> int:
             return 1
         if hi < 0:
             return -1
+        if a is alpha:
+            # the given interval did not decide: certify zero before refining
+            g = _uni_gcd(alpha.coeffs, u)
+            if len(g) > 1:
+                sa, sb = _sign_at(g, alpha.lo), _sign_at(g, alpha.hi)
+                if sa == 0 or sb == 0:  # pragma: no cover - endpoints are non-roots of defining
+                    raise AssertionError("invalid isolating interval")
+                if sa != sb:
+                    return 0
         a = a.refine_step()
         if a.is_rational:
             return _sign_at(u, a.rational_value)
 
 
-def _interval_eval_dense(u: Sequence[int], lo: Fraction, hi: Fraction):
-    rlo, rhi = 0, 0
-    for i, c in enumerate(u):
-        if c == 0:
-            continue
-        if i == 0:
-            plo, phi = 1, 1
-        elif i % 2 == 1 or lo >= 0:
-            plo, phi = lo**i, hi**i
-        elif hi <= 0:
-            plo, phi = hi**i, lo**i
-        else:
-            plo, phi = 0, max(lo**i, hi**i)
-        if c > 0:
-            rlo += c * plo
-            rhi += c * phi
-        else:
-            rlo += c * phi
-            rhi += c * plo
+def _interval_eval_dense(u: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """Enclosure of u over [lo, hi] times den**deg(u), den the endpoints'
+    common denominator: integer arithmetic, and the signs of the enclosure."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    rlo = rhi = 0
+    scale = 1  # den**(deg(u) - i)
+    for i in range(len(u) - 1, -1, -1):
+        c = u[i]
+        if c:
+            if i == 0:
+                plo = phi = 1
+            elif i % 2 == 1 or a >= 0:
+                plo, phi = a**i, b**i
+            elif b <= 0:
+                plo, phi = b**i, a**i
+            else:
+                plo, phi = 0, max(a**i, b**i)
+            k = c * scale
+            if k > 0:
+                rlo += k * plo
+                rhi += k * phi
+            else:
+                rlo += k * phi
+                rhi += k * plo
+        scale *= den
     return rlo, rhi
 
 

@@ -175,3 +175,88 @@ class TestThreeVarBuild:
         assert zeros[0] == 42
         assert zeros[1] == 42
         assert zeros[2] == 47
+
+
+F = Fraction
+
+# the level-2 cells above the conjugate base cells x0 = -sqrt2 (index 4) and
+# x0 = sqrt2 (index 6) of the build in TestConjugateSharing, recorded before
+# eliminations were shared: (index, x1's coeffs, lo, hi, zero_polys)
+CONJUGATE_STACKS = [
+    ((4, 1), (3, 1), F(-4, 1), F(-2, 1), set()),
+    ((4, 2), (1, 0, -4, 0, 1), F(-5, 2), F(-5, 4), {2}),
+    ((4, 3), (3, 4), F(-7, 4), F(1, 4), set()),
+    ((4, 4), (0, 1), F(-1, 4), F(1, 4), {1}),
+    ((4, 5), (-9, 32), F(-23, 32), F(41, 32), set()),
+    ((4, 6), (1, 0, -4, 0, 1), F(5, 16), F(5, 8), {2}),
+    ((4, 7), (-1, 1), F(0, 1), F(2, 1), set()),
+    ((6, 1), (1, 1), F(-2, 1), F(0, 1), set()),
+    ((6, 2), (1, 0, -4, 0, 1), F(-5, 8), F(-5, 16), {2}),
+    ((6, 3), (9, 32), F(-41, 32), F(23, 32), set()),
+    ((6, 4), (0, 1), F(-1, 4), F(1, 4), {1}),
+    ((6, 5), (-3, 4), F(-1, 4), F(7, 4), set()),
+    ((6, 6), (1, 0, -4, 0, 1), F(5, 4), F(5, 2), {2}),
+    ((6, 7), (-3, 1), F(2, 1), F(4, 1), set()),
+]
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Records every (g, v, defining polynomial) that _eliminate_coordinate gets."""
+    from cadlab import algpoints
+
+    calls = []
+    inner = algpoints._eliminate_coordinate
+
+    def recording(g, v, alpha):
+        calls.append((g, v, alpha.coeffs))
+        return inner(g, v, alpha)
+
+    monkeypatch.setattr(algpoints, "_eliminate_coordinate", recording)
+    return calls
+
+
+class TestConjugateSharing:
+    def test_conjugate_base_cells_eliminate_once(self, eliminations):
+        from cadlab.cadbuild import build_cad
+        from cadlab.ordering import VarOrdering
+
+        # x0^2 - 2 makes +-sqrt2 base cells; x1^2 - x0^2 + 2 has a double
+        # root at x1 = 0 above both (the exact-zero path), and
+        # x1^2 - x0*x1 - 1 is square-free above both (the endpoint-sign path)
+        A = [X * X - ONE * 2, Y * Y - X * X + ONE * 2, Y * Y - X * Y - ONE]
+        tree = build_cad(A, VarOrdering((0, 1)))
+        base = {c.index: c.sample[0] for c in tree.levels[0]}
+        assert [(base[i].coeffs, base[i].lo, base[i].hi) for i in [(4,), (6,)]] == [
+            ((-2, 0, 1), F(-93, 64), F(-45, 32)),
+            ((-2, 0, 1), F(45, 32), F(93, 64)),
+        ]
+        # at one call per base cell there were 8 calls, each key twice
+        assert len(eliminations) == 4
+        assert len(set(eliminations)) == 4
+        got = [
+            (c.index, c.sample[1].coeffs, c.sample[1].lo, c.sample[1].hi, set(c.zero_polys))
+            for c in tree.levels[1] if c.index[0] in (4, 6)
+        ]
+        assert got == CONJUGATE_STACKS
+
+    def test_split_elimination_is_computed_again(self, eliminations):
+        # +-sqrt3 as roots of (x0^2 - 2)(x0^2 - 3): the eliminant of
+        # (x0^2 - 2)(x1 - 1) splits x0^2 - 2 off the defining polynomial,
+        # which depends on the root, so the second base cell recomputes it
+        defining = (6, 0, -5, 0, 1)
+        points = [(AlgebraicNumber(defining, F(-2), F(-3, 2)),),
+                  (AlgebraicNumber(defining, F(3, 2), F(2)),)]
+        p = (X * X - ONE * 2) * (Y - ONE)
+        shared: dict = {}
+        for point in points:
+            assert [r.rational_value for r in roots_above(p, point, 1, shared)] == [1]
+        assert len(eliminations) == 2 and len(set(eliminations)) == 1
+
+    def test_unsplit_elimination_is_shared(self, eliminations):
+        p = Y * Y - X
+        shared: dict = {}
+        neg_sqrt2 = AlgebraicNumber((-2, 0, 1), F(-2), F(-1))
+        assert roots_above(p, (neg_sqrt2,), 1, shared) == []
+        assert len(roots_above(p, (SQRT2,), 1, shared)) == 2
+        assert len(eliminations) == 1

@@ -183,3 +183,43 @@ class TestPublicConstructorValidates:
     def test_negative_exponent(self):
         with pytest.raises(ValueError, match="exponent"):
             Poly(2, {(1, -1): 1})
+
+
+# module-level containers that hold constants, never results
+CONSTANT_CONTAINERS = {
+    ("formulas", "_NEGATED"), ("formulas", "_FLIPPED"),
+    ("heuristics", "ORDERING_HEURISTICS"),
+    ("smtlib", "_IGNORED_COMMANDS"), ("smtlib", "_RELATIONS"),
+}
+_CONTAINER_NODES = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+_CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter"}
+
+
+def _is_container(node) -> bool:
+    if isinstance(node, _CONTAINER_NODES):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in _CONTAINER_CALLS
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_wide_cache(path):
+    # work is shared through memos that a build level or a call owns, so a
+    # result never outlives the computation that made it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert {"cache", "lru_cache"} & set(_names(tree)) == set()
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_container(value):
+            bound += [t.id for t in targets if isinstance(t, ast.Name)]
+    allowed = {"__all__"} | {name for module, name in CONSTANT_CONTAINERS if module == path.stem}
+    assert set(bound) - allowed == set()

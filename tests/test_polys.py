@@ -399,3 +399,77 @@ class TestNormalization:
     def test_content(self):
         p = X * Y**2 + X
         assert content_in(p, 1) == X
+
+
+def _fraction_interval_eval(p: Poly, box) -> tuple:
+    """The rational interval arithmetic ``Poly.interval_eval`` must reproduce."""
+
+    def mul(alo, ahi, blo, bhi):
+        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return min(products), max(products)
+
+    def power(lo, hi, e):
+        if e % 2 == 1 or lo >= 0:
+            return lo**e, hi**e
+        if hi <= 0:
+            return hi**e, lo**e
+        return 0, max(lo**e, hi**e)
+
+    lo = hi = Fraction(0)
+    for exps, c in p.terms.items():
+        tlo, thi = Fraction(1), Fraction(1)
+        for i, e in enumerate(exps):
+            if e:
+                tlo, thi = mul(tlo, thi, *power(*box[i], e))
+        if c >= 0:
+            tlo, thi = tlo * c, thi * c
+        else:
+            tlo, thi = thi * c, tlo * c
+        lo += tlo
+        hi += thi
+    return lo, hi
+
+
+class TestIntegerEnclosure:
+    def test_matches_rational_interval_arithmetic_seeded(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            nvars = rng.randint(1, 3)
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                exps = tuple(rng.randint(0, 4) for _ in range(nvars))
+                if rng.random() < 0.5:
+                    terms[exps] = rng.randint(-9, 9)
+                else:
+                    terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            p = Poly(nvars, terms)
+            box = {}
+            for i in range(nvars):
+                lo = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 4, 8, 1024]))
+                # a fifth of the boxes are degenerate; the rest often straddle 0
+                width = 0 if rng.random() < 0.2 else Fraction(rng.randint(0, 20), rng.choice([1, 2, 5, 16]))
+                box[i] = (lo, lo + width)
+            assert p.interval_eval(box) == _fraction_interval_eval(p, box), (p, box)
+
+    @pytest.mark.parametrize("box,expected", [
+        ((Fraction(-3, 2), Fraction(1, 2)), (Fraction(-47, 8), Fraction(73, 16))),  # straddles 0
+        ((Fraction(-3, 2), Fraction(-1, 2)), (Fraction(-93, 16), Fraction(51, 16))),  # all negative
+        ((Fraction(2, 3), Fraction(2, 3)), (Fraction(-65, 81), Fraction(-65, 81))),  # degenerate
+    ])
+    def test_even_powers_over_pinned_boxes(self, box, expected):
+        p = Poly(1, {(4,): 1, (2,): Fraction(-3, 2), (1,): 1, (0,): -1})  # x^4 - 3/2 x^2 + x - 1
+        assert p.interval_eval({0: box}) == _fraction_interval_eval(p, {0: box}) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            max_size=5,
+        ),
+        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=64), min_size=4, max_size=4),
+    )
+    def test_matches_rational_interval_arithmetic(self, terms, ends):
+        p = Poly(2, terms)
+        box = {0: tuple(sorted(ends[:2])), 1: tuple(sorted(ends[2:]))}
+        assert p.interval_eval(box) == _fraction_interval_eval(p, box)

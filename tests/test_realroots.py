@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -346,6 +347,49 @@ class TestSignAt:
         a = AlgebraicNumber.from_rational(Fraction(1, 2))
         assert sign_at((-1, 2), a) == 0
         assert sign_at((1, 2), a) > 0
+
+    def test_enclosure_decides_before_the_gcd(self, monkeypatch):
+        from cadlab import realroots
+
+        gcds = []
+        inner = realroots._uni_gcd
+
+        def counting(a, b):
+            gcds.append((a, b))
+            return inner(a, b)
+
+        monkeypatch.setattr(realroots, "_uni_gcd", counting)
+        assert sign_at((1, -2), SQRT2) == -1  # 1 - 2x < 0 on all of (1, 2)
+        assert gcds == []
+        assert sign_at((-2, 0, 1), SQRT2) == 0  # zero is still certified by the gcd
+        assert len(gcds) == 1
+
+    def test_integer_enclosure_has_the_rational_signs(self):
+        from cadlab.realroots import _interval_eval_dense
+
+        def rational(u, lo, hi):
+            rlo = rhi = Fraction(0)
+            for i, c in enumerate(u):
+                if i == 0:
+                    plo = phi = Fraction(1)
+                elif i % 2 == 1 or lo >= 0:
+                    plo, phi = lo**i, hi**i
+                elif hi <= 0:
+                    plo, phi = hi**i, lo**i
+                else:
+                    plo, phi = Fraction(0), max(lo**i, hi**i)
+                rlo, rhi = (rlo + c * plo, rhi + c * phi) if c >= 0 else (rlo + c * phi, rhi + c * plo)
+            return rlo, rhi
+
+        rng = random.Random(7)
+        for _ in range(2000):
+            u = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+            lo = Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 64, 1024]))
+            hi = lo + Fraction(rng.randint(0, 30), rng.choice([1, 4, 7, 256]))
+            den = math.lcm(lo.denominator, hi.denominator)
+            scaled = _interval_eval_dense(u, lo, hi)
+            # the enclosure times den**deg(u), exactly
+            assert tuple(Fraction(x, den ** (len(u) - 1)) for x in scaled) == rational(u, lo, hi)
 
 
 def test_sturm_oracle_agreement_seeded():

@@ -133,6 +133,27 @@ class TestStructuralZeros:
         assert certified_zeros and not any(map(_squarefree_in_main_variable, certified_zeros))
 
 
+class TestSignsPerAncestor:
+    def test_below_top_inputs_are_signed_once_per_ancestor(self, monkeypatch):
+        # an input in x0..x_m has one sign on each level-(m+1) cell and above
+        calls = []
+        inner = cadbuild.sign_at_point
+
+        def recording(p, point, tower=None):
+            inputs = [j for j, q in enumerate(tree._relabeled_inputs) if q is p]
+            if inputs and not p.contains_var(2):
+                calls.append((problem.name, inputs[0], point[:p.variables()[-1] + 1]))
+            return inner(p, point, tower)
+
+        monkeypatch.setattr(cadbuild, "sign_at_point", recording)
+        problems = random_problems(5302, 11, EC3D)
+        for problem in (problems[0], problems[10]):
+            tree = _brown_tree(problem, "ec")
+            tree.ensure_signs()
+        # signed at every leaf, the same pairs took 124 + 70 calls
+        assert len(calls) == len(set(calls)) == 26 + 18
+
+
 class TestEdgeCases:
     def test_leading_coefficient_vanishing_at_the_prefix_is_skipped(self):
         # (x0^2 - 2)(x1 + 1) is nullified over x0 = sqrt2: it is a zero
