@@ -25,6 +25,7 @@ from .formulas import (
     enumerate_designations,
     evaluate_signs,
     identify_ecs,
+    normalize,
     propagate_ecs,
     score_designation,
 )
@@ -410,8 +411,9 @@ def evaluate_formula_on_cells(
         raise ValueError("formula polynomial not in the tree's input set")
     with scoped_deadline(deadline):
         tree.ensure_signs()
+    canonical = normalize(formula)
     truths = [
-        evaluate_signs(formula, dict(zip(tree.input_polys, leaf.signs)))
+        evaluate_signs(canonical, dict(zip(tree.input_polys, leaf.signs)))
         for leaf in tree.leaves()
     ]
     return truths, sum(truths)

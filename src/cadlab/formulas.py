@@ -141,14 +141,15 @@ def atom_polys(f: Formula) -> list[Poly]:
 def evaluate_signs(f: Formula, sign_of: Mapping[Poly, int]) -> bool:
     """Truth of the (quantifier-free) formula given atom polynomial signs.
 
+    Every atom of ``f`` must be canonical, as :func:`normalize` leaves them,
+    so a formula evaluated at many points is canonicalized once.
     ``sign_of`` maps each normalized atom polynomial to its sign at the point
     in question.
     """
     if isinstance(f, Const):
         return f.value
     if isinstance(f, Atom):
-        a = f.canonical()
-        return a.holds_for_sign(sign_of[a.poly])
+        return f.holds_for_sign(sign_of[f.poly])
     assert isinstance(f, BoolOp)
     if f.op == "not":
         return not evaluate_signs(f.args[0], sign_of)

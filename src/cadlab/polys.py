@@ -17,8 +17,16 @@ PRS), resultants via the subresultant PRS, discriminants with a fixed sign
 normalization, square-free primitive bases, and per-variable degree statistics.
 A gcd whose arguments together involve one variable runs on dense integer
 lists, through the integer PRS that root isolation shares
-(:mod:`cadlab.dense`); contents and square-free parts reach it through
-:func:`poly_gcd`.
+(:mod:`cadlab.dense`); contents reach it through :func:`poly_gcd`, and the
+square-free part of a univariate polynomial calls it directly.  A content
+with a nonzero constant coefficient is 1 without a gcd.
+
+The square-free primitive basis is certified by the values the projection
+emits: a part's discriminant before its square-free step and a pair's
+resultant before its gcd.  For primitive polynomials a nonzero value proves
+the part square-free or the pair coprime, so that gcd is skipped and the
+value kept for the projection; a zero value takes the gcd split.  The basis
+is the same either way.
 
 ``Poly(...)`` is the one public constructor, and it validates every exponent
 tuple and coefficient.  Results built inside this module whose terms are valid
@@ -31,6 +39,8 @@ negative entry, no zero coefficient, and an ``int`` for every integral
 coefficient.  Arithmetic drops its zero sums as it goes, and where it can
 produce an integral ``Fraction`` (``+``, ``*``, ``derivative``,
 ``substitute``, ``divexact``) one pass, ``_ints``, stores it as an ``int``.
+A polynomial that is already canonical is its own normalized form, and
+``is_constant`` reads at most one term.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dense import _uni_gcd, dense_from_poly
+from .dense import _deriv, _uni_gcd, dense_from_poly
 from .errors import checkpoint
 
 __all__ = [
@@ -155,7 +165,9 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        # a constant has at most one term, and its exponents are all zero
+        terms = self.terms
+        return len(terms) <= 1 and not any(next(iter(terms), ()))
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
@@ -376,7 +388,8 @@ class Poly:
 
         The representative has integer coefficients with gcd 1 and a positive
         graded-lex leading coefficient.  Returns (canonical, s) with
-        self = (positive rational) * s * canonical, s in {+1, -1}.
+        self = (positive rational) * s * canonical, s in {+1, -1}; a
+        polynomial that is already canonical is its own representative.
         """
         if self.is_zero():
             return self, 1
@@ -384,6 +397,8 @@ class Poly:
         gcd = math.gcd(*(c.numerator * (lcm // c.denominator) for c in self.terms.values()))
         lead = max(self.terms, key=_grlex_key)
         sign = 1 if self.terms[lead] > 0 else -1
+        if lcm == 1 and gcd == 1 and sign == 1:
+            return self, 1
         return _adopt(self.nvars, {
             e: sign * c.numerator * (lcm // c.denominator) // gcd for e, c in self.terms.items()
         }), sign
@@ -510,12 +525,16 @@ def content_in(p: Poly, v: int) -> Poly:
     """Content of p w.r.t. v: gcd of the coefficients of powers of v.
 
     For p free of v the content is p itself; content of 0 is 0.  The result
-    is normalized (integer-primitive, positive lead).
+    is normalized (integer-primitive, positive lead).  A nonzero constant
+    coefficient makes the content 1 without a gcd.
     """
     if p.is_zero():
         return p
+    coeffs = p.coeffs_in(v)
+    if any(c.is_constant() and not c.is_zero() for c in coeffs):
+        return Poly.one(p.nvars)
     cont = Poly.zero(p.nvars)
-    for c in p.coeffs_in(v):
+    for c in coeffs:
         if c.is_zero():
             continue
         cont = poly_gcd(cont, c)
@@ -651,9 +670,17 @@ def discriminant(p: Poly, v: int) -> Poly:
 
 
 def squarefree_part(p: Poly, v: int) -> Poly:
-    """Square-free-in-v part of p, preserving the content in the other variables."""
+    """Square-free-in-v part of p, preserving the content in the other variables.
+
+    A p univariate in v has content 1, and its gcd with p' runs on dense
+    integer lists directly, as :func:`poly_gcd` would run it.
+    """
     if p.is_zero() or p.degree(v) == 0:
         return p
+    if p.variables() == (v,):
+        c = dense_from_poly(p, v)
+        g = _uni_gcd(c, _deriv(c))
+        return p if len(g) == 1 else divexact(p, Poly.from_dense(p.nvars, v, g))
     cont = content_in(p, v)
     if cont.is_constant():
         return _squarefree_primitive(p, v)
@@ -700,8 +727,31 @@ def squarefree_primitive_basis(
     Output lists are deterministically ordered and deduped up to rational
     multiples.
     """
+    basis, contents, _, _ = _certified_basis(A, v)
+    return basis, contents
+
+
+def _certified_basis(
+    A: Iterable[Poly], v: int
+) -> tuple[list[Poly], list[Poly], dict[Poly, Poly], dict[tuple[Poly, Poly], Poly]]:
+    """:func:`squarefree_primitive_basis` plus the values that certified it.
+
+    For primitive p and b of positive degree in v, res_v(p, b) is nonzero
+    exactly when gcd(p, b) is constant, and disc_v(p) exactly when p is
+    square-free (Brown and Traub, JACM 1971).  So a part's discriminant is
+    computed before its square-free step and a pair's resultant before its
+    gcd: a nonzero value skips that gcd and is kept, a zero one takes the
+    gcd split.  A part univariate in v takes the dense square-free step
+    instead, since its discriminant is a constant the projection never
+    emits.  Returns (basis, contents, discs, ress).  ``discs[p]`` is
+    ``discriminant(p, v)`` and ``ress[p, q]`` is ``resultant(p, q, v)``,
+    for p before q in the basis order, exactly as the projection would
+    compute them.  Values for a polynomial or pair that a later split
+    removed are kept too; the projection never asks for them.
+    """
     parts: list[Poly] = []
     contents: set[Poly] = set()
+    discs: dict[Poly, Poly] = {}
     for p in sorted(A, key=_poly_sort_key):
         if p.is_constant():
             continue
@@ -710,9 +760,23 @@ def squarefree_primitive_basis(
         if not cont.is_constant():
             contents.add(cont)
             p = divexact(p, cont)
-        if p.contains_var(v):
-            parts.append(_squarefree_primitive(p, v).normalized())
+        if not p.contains_var(v):
+            continue
+        p = p.normalized()
+        if p.degree(v) >= 2:
+            if p.variables() == (v,):
+                # its discriminant is a constant, which the projection drops;
+                # the dense square-free step is the cheaper certificate
+                p = squarefree_part(p, v).normalized()
+            else:
+                d = discriminant(p, v)
+                if d.is_zero():
+                    p = _squarefree_primitive(p, v).normalized()
+                else:
+                    discs[p] = d
+        parts.append(p)
     basis: list[Poly] = []
+    ress: dict[tuple[Poly, Poly], Poly] = {}
     queue = list(dict.fromkeys(parts))
     while queue:
         p = queue.pop(0)
@@ -721,6 +785,12 @@ def squarefree_primitive_basis(
         i = 0
         while i < len(basis) and not p.is_constant():
             b = basis[i]
+            pair = tuple(sorted((p, b), key=_poly_sort_key))
+            r = resultant(*pair, v)
+            if not r.is_zero():
+                ress[pair] = r
+                i += 1
+                continue
             g = poly_gcd(p, b)
             if g.is_constant():
                 i += 1
@@ -739,7 +809,7 @@ def squarefree_primitive_basis(
         if not p.is_constant():
             basis.append(p)
     basis.sort(key=_poly_sort_key)
-    return basis, sorted(contents, key=_poly_sort_key)
+    return basis, sorted(contents, key=_poly_sort_key), discs, ress
 
 
 # -- degree statistics ------------------------------------------------------------

@@ -7,6 +7,13 @@ degree >= 2 elements, and pairwise resultants.  Every emitted polynomial is
 made square-free in its own main variable, normalized to an integer-primitive
 positive-lead representative, deduplicated up to rational multiples, and
 constants are dropped.
+
+Each subresultant chain runs once.  Building the basis asks each part's
+discriminant and each pair's resultant first, and a nonzero answer stands in
+for the gcd that would prove the part square-free or the pair coprime
+(``polys._certified_basis``).  The full operator emits those kept values and
+computes only the discriminants and resultants of elements that a gcd split
+produced.
 """
 
 from __future__ import annotations
@@ -18,13 +25,13 @@ from .errors import checkpoint
 from .ordering import VarOrdering
 from .polys import (
     Poly,
+    _certified_basis,
     _poly_sort_key,
     content_in,
     discriminant,
     distinct_normalized,
     resultant,
     squarefree_part,
-    squarefree_primitive_basis,
 )
 
 __all__ = [
@@ -61,18 +68,26 @@ def _coefficients_until_constant(collected: dict[Poly, None], b: Poly, v: int) -
 
 
 def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
-    """Full projection of A eliminating v; elements free of v pass through."""
+    """Full projection of A eliminating v; elements free of v pass through.
+
+    The discriminants and resultants that certified the basis are emitted as
+    kept; only those of elements a gcd split produced are computed here.  A
+    basis element univariate in v has a constant discriminant, which would
+    drop, so none is computed.
+    """
     collected: dict[Poly, None] = {}
-    basis, contents = squarefree_primitive_basis(A, v)
+    basis, contents, discs, ress = _certified_basis(A, v)
     for c in contents:
         _emit(collected, c)
     for b in basis:
         _coefficients_until_constant(collected, b, v)
-        if b.degree(v) >= 2:
-            _emit(collected, discriminant(b, v))
+        if b.degree(v) >= 2 and b.variables() != (v,):
+            d = discs.get(b)
+            _emit(collected, discriminant(b, v) if d is None else d)
     for i, b in enumerate(basis):
         for c in basis[i + 1 :]:
-            _emit(collected, resultant(b, c, v))
+            r = ress.get((b, c))
+            _emit(collected, resultant(b, c, v) if r is None else r)
     return sorted(collected, key=_poly_sort_key)
 
 

@@ -326,6 +326,24 @@ class TestEvaluate:
             _, n = evaluate_formula_on_cells(tree, formula)
             assert n > 0
 
+    def test_atoms_canonicalized_once_per_call(self, monkeypatch):
+        # a negated atom on a negatively scaled polynomial: the relation flips twice
+        formula = BoolOp("not", (BoolOp("and", (Atom(CIRCLE * -2, "<"), Atom(CIRCLE2, "!="))),))
+        tree = build_cad(Problem("two", ("x", "y"), formula=formula), XY)
+        calls = []
+        canonical = Atom.canonical
+        monkeypatch.setattr(Atom, "canonical", lambda a: calls.append(a) or canonical(a))
+        truths, n = evaluate_formula_on_cells(tree, formula)
+        expected = []
+        for leaf in tree.leaves():
+            sign_of = dict(zip(tree.input_polys, leaf.signs))
+            expected.append(not (sign_of[CIRCLE] > 0 and sign_of[CIRCLE2] != 0))
+        assert truths == expected and n == sum(expected)
+        assert 0 < n < len(truths)
+        # the input-set check and the evaluation each canonicalize the two atoms
+        # once, however many leaves there are
+        assert len(truths) > 4 and len(calls) == 4
+
 
 class TestEcReduced:
     def test_fewer_cells_same_truth(self):

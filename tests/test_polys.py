@@ -473,3 +473,129 @@ class TestIntegerEnclosure:
         p = Poly(2, terms)
         box = {0: tuple(sorted(ends[:2])), 1: tuple(sorted(ends[2:]))}
         assert p.interval_eval(box) == _fraction_interval_eval(p, box)
+
+
+# -- kernel shortcuts: terms and types recorded before the shortcuts existed ------
+
+# p -> the variable whose content is taken; each has a nonzero constant coefficient
+CONSTANT_COEFFICIENT = {
+    "low": (X * Y**2 * 2 + (X * X - Poly.one(2)) * Y + Poly.const(2, 5), 1),
+    "middle": ((X + Poly.one(2)) * Y**2 * 3 + Y * Fraction(-7, 2) + X * X, 1),
+    "lead": (Y**3 * 4 + X * Y - X * 2, 1),
+    "three_vars": (Poly(3, {(1, 0, 2): 2, (0, 0, 1): 6, (2, 1, 0): 1}), 2),
+}
+
+
+class TestKernelShortcutPins:
+    @pytest.mark.parametrize("name", sorted(CONSTANT_COEFFICIENT))
+    def test_content_in_with_a_constant_coefficient(self, name):
+        p, v = CONSTANT_COEFFICIENT[name]
+        assert _typed(content_in(p, v)) == _ints({(0,) * p.nvars: 1})
+
+    def test_squarefree_part_univariate_fractions(self):
+        x = Poly.var(1, 0)
+        # (x - 1)^2 (3/2 + x/3) (1/2 + x^2) * (-5/4): repeated factor, negative lead
+        p = (x - Poly.one(1)) ** 2 * U([F(3, 2), F(1, 3)]) * U([F(1, 2), 0, 1]) * F(-5, 4)
+        assert _typed(p)[(5,)] == ("Fraction", F(-5, 12))
+        assert _typed(squarefree_part(p, 0)) == {
+            (0,): ("Fraction", F(15, 16)), (1,): ("Fraction", F(-35, 48)),
+            (2,): ("Fraction", F(5, 3)), (3,): ("Fraction", F(-35, 24)),
+            (4,): ("Fraction", F(-5, 12)),
+        }
+        # already square-free: p itself, in a 3-variable ring
+        q = U([F(-2, 3), 0, F(4, 3)], 3, 2) * U([1, 1], 3, 2)
+        assert squarefree_part(q, 2) is q
+        assert _typed(q) == {(0, 0, 0): ("Fraction", F(-2, 3)), (0, 0, 1): ("Fraction", F(-2, 3)),
+                             (0, 0, 2): ("Fraction", F(4, 3)), (0, 0, 3): ("Fraction", F(4, 3))}
+
+    def test_normalized_canonical_and_not(self):
+        canonical = P({(2, 0): 3, (1, 1): -2, (0, 0): 7})
+        expected = _ints({(2, 0): 3, (1, 1): -2, (0, 0): 7})
+        assert _typed(canonical.normalized()) == expected
+        assert canonical.normalized_with_sign()[1] == 1
+        scaled = P({(2, 0): F(-3, 4), (1, 1): F(1, 2), (0, 0): F(-7, 4)})
+        assert _typed(scaled.normalized()) == expected
+        assert scaled.normalized_with_sign()[1] == -1
+        # integral but not primitive
+        assert _typed(P({(2, 0): 6, (0, 1): -4}).normalized()) == _ints({(2, 0): 3, (0, 1): -2})
+
+    def test_is_constant(self):
+        assert Poly.zero(2).is_constant()
+        assert Poly.const(2, F(-3, 2)).is_constant()
+        assert Poly.const(0, 5).is_constant()
+        assert not X.is_constant()
+        assert not (X * Y).is_constant()
+        assert not (X + Poly.one(2)).is_constant()
+        assert not P({(0, 3): 2}).is_constant()
+
+
+def _to_sympy(sympy, xs, p: Poly):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+                for exps, c in p.terms.items()), sympy.Integer(0))
+
+
+def _from_sympy(sympy, xs, expr) -> Poly:
+    return Poly(len(xs), {exps: Fraction(int(c.p), int(c.q))
+                          for exps, c in sympy.Poly(expr, *xs).terms()})
+
+
+def _with_var(rng: random.Random, nvars: int, v: int, max_deg: int) -> Poly:
+    """A random polynomial of positive degree in v."""
+    while True:
+        p = _random_poly(rng, nvars, max_deg, 3)
+        if p.contains_var(v):
+            return p
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_resultant_sympy_oracle_seeded(nvars):
+    # planted common factors make every other pair's resultant 0, the case a
+    # zero coprimality certificate rests on.  The oracle is the determinant of
+    # sympy's Sylvester matrix: sympy.resultant (1.14) returns the wrong sign
+    # for some pairs, e.g. 44 for res_x(3x + 2, x^3 + 2x) = 27 * q(-2/3) = -44.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    xs = sympy.symbols(f"x0:{nvars}")
+    rng = random.Random(4100 + nvars)
+    v = nvars - 1
+    nonzero = 0
+    for k in range(40):
+        max_deg = 3 if nvars < 3 else 2
+        p, q = _with_var(rng, nvars, v, max_deg), _with_var(rng, nvars, v, max_deg)
+        if k % 2:
+            c = _with_var(rng, nvars, v, 1)
+            p, q = p * c * Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3)), q * c
+        ours = resultant(p, q, v)
+        matrix = sylvester(_to_sympy(sympy, xs, p), _to_sympy(sympy, xs, q), xs[v], 1)
+        dm = DomainMatrix.from_Matrix(matrix)
+        assert ours == _from_sympy(sympy, xs, dm.domain.to_sympy(dm.det())), (p, q)
+        if k % 2:
+            assert ours.is_zero(), (p, q)
+        nonzero += not ours.is_zero()
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_discriminant_sympy_oracle_seeded(nvars):
+    # planted squares make every other discriminant 0, the case a zero
+    # square-freeness certificate rests on
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{nvars}")
+    rng = random.Random(4200 + nvars)
+    v = nvars - 1
+    done = 0
+    while done < 40:
+        p = _with_var(rng, nvars, v, 3 if nvars < 3 else 2)
+        if done % 2:
+            c = _with_var(rng, nvars, v, 1)
+            p = p * c * c * Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 4))
+        if p.degree(v) < 2:
+            continue
+        ours = discriminant(p, v)
+        assert ours == _from_sympy(sympy, xs, sympy.discriminant(_to_sympy(sympy, xs, p), xs[v])), p
+        if done % 2:
+            assert ours.is_zero(), p
+        done += 1

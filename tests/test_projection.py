@@ -1,12 +1,23 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cadlab.ordering import VarOrdering, QuantifierBlock, admissible_orderings
 from cadlab.errors import OrderingCapError
-from cadlab.polys import Poly, poly_gcd
+from cadlab.polys import (
+    Poly,
+    _poly_sort_key,
+    content_in,
+    discriminant,
+    divexact,
+    poly_gcd,
+    resultant,
+    squarefree_part,
+    squarefree_primitive_basis,
+)
 from cadlab.projection import mccallum_project, projection_levels, reduced_ec_project
 
 X = Poly.var(2, 0)
@@ -142,6 +153,145 @@ class TestReducedEC:
                         r = divexact(r, g)
                 assert r.is_constant(), f"{q} not covered by full projection"
             done += 1
+
+
+def _reference_project(A, v):
+    """The full projection defined from the public kernels, every value computed afresh.
+
+    Square-free basis and contents, then each basis element's coefficients
+    down to the first nonzero constant, its discriminant, and the pairwise
+    resultants; every emitted polynomial is square-freed in its own main
+    variable and normalized, and constants drop.
+    """
+    collected = {}
+
+    def emit(p):
+        if not p.is_constant():
+            q = squarefree_part(p, p.variables()[-1]).normalized()
+            if not q.is_constant():
+                collected[q] = None
+
+    basis, contents = squarefree_primitive_basis(A, v)
+    for c in contents:
+        emit(c)
+    for b in basis:
+        for k in range(b.degree(v), -1, -1):
+            c = b.coeff_of_power(v, k)
+            if c.is_zero():
+                continue
+            if c.is_constant():
+                break
+            emit(c)
+        if b.degree(v) >= 2:
+            emit(discriminant(b, v))
+    for i, b in enumerate(basis):
+        for c in basis[i + 1 :]:
+            emit(resultant(b, c, v))
+    return sorted(collected, key=_poly_sort_key)
+
+
+def _reference_basis(A, v):
+    """The square-free primitive basis built with gcds alone, no certificates."""
+    parts, contents = [], set()
+    for p in sorted(A, key=_poly_sort_key):
+        if p.is_constant():
+            continue
+        cont = content_in(p, v)
+        if not cont.is_constant():
+            contents.add(cont)
+            p = divexact(p, cont)
+        if p.contains_var(v):
+            parts.append(squarefree_part(p, v).normalized())
+    basis, queue = [], list(dict.fromkeys(parts))
+    while queue:
+        p = queue.pop(0)
+        i = 0
+        while i < len(basis) and not p.is_constant():
+            b = basis[i]
+            g = poly_gcd(p, b)
+            if g == b:
+                p = divexact(p, b).normalized()
+            elif not g.is_constant():
+                basis[i] = g
+                rest = divexact(b, g).normalized()
+                if not rest.is_constant():
+                    queue.append(rest)
+                p = divexact(p, g).normalized()
+            i += 1
+        if not p.is_constant():
+            basis.append(p)
+    return sorted(basis, key=_poly_sort_key), sorted(contents, key=_poly_sort_key)
+
+
+def _typed_terms(polys):
+    """Terms in stored order with coefficient types: an int and an equal Fraction differ."""
+    return [[(e, c, type(c).__name__) for e, c in p.terms.items()] for p in polys]
+
+
+def _factor(rng, nvars, v):
+    """A random polynomial of degree 1 or 2 in v, with small integer coefficients."""
+    while True:
+        terms = {tuple(rng.randint(0, 1) if i != v else rng.randint(0, 2) for i in range(nvars)):
+                 rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(2, 3))}
+        p = Poly(nvars, terms)
+        if p.contains_var(v):
+            return p
+
+
+PLANTED = ("square", "shared_factor", "duplicate_primitive_part", "fraction_content", "generic")
+
+
+def _planted_set(rng, nvars, v, kind):
+    f, g, h = (_factor(rng, nvars, v) for _ in range(3))
+    w = Poly.var(nvars, (v + 1) % nvars)  # a variable other than v: content material
+    if kind == "square":
+        return [f * f * g, h]
+    if kind == "shared_factor":
+        return [f * g, f * h, g]
+    if kind == "duplicate_primitive_part":
+        return [f * (w + Poly.one(nvars) * 2), f * -3, g]
+    if kind == "fraction_content":
+        return [f * (w - Poly.const(nvars, Fraction(1, 2))) * Fraction(2, 3), g * Fraction(-5, 7)]
+    return [f, g, h]
+
+
+class TestProjectionOracle:
+    """mccallum_project against the same projection with every value recomputed."""
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    @pytest.mark.parametrize("kind", PLANTED)
+    def test_seeded_planted_sets(self, nvars, kind):
+        rng = random.Random(f"{nvars}-{kind}")
+        for _ in range(12 if nvars == 2 else 6):
+            v = rng.randrange(nvars)
+            A = _planted_set(rng, nvars, v, kind)
+            basis, contents = squarefree_primitive_basis(A, v)
+            ref_basis, ref_contents = _reference_basis(A, v)
+            assert _typed_terms(basis) == _typed_terms(ref_basis), (A, v)
+            assert _typed_terms(contents) == _typed_terms(ref_contents), (A, v)
+            out = mccallum_project(A, v)
+            assert _typed_terms(out) == _typed_terms(_reference_project(A, v)), (A, v)
+
+    @pytest.mark.parametrize("A, v", [
+        ([CIRCLE, CIRCLE2, BLOWUP], 1),
+        ([Poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1}),
+          Poly(3, {(0, 0, 1): 1, (1, 1, 0): -1}),
+          Poly(3, {(0, 0, 2): 1, (1, 0, 0): 1, (0, 0, 0): -2})], 2),
+    ])
+    def test_squarefree_coprime_input_needs_no_gcd_in_v(self, monkeypatch, A, v):
+        from cadlab import polys
+
+        calls = []
+        gcd, squarefree = polys.poly_gcd, polys._squarefree_primitive
+        monkeypatch.setattr(polys, "poly_gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+        monkeypatch.setattr(polys, "_squarefree_primitive",
+                            lambda p, w: calls.append((p,)) or squarefree(p, w))
+        out = mccallum_project(A, v)
+        # square-free and pairwise coprime: every discriminant and resultant is
+        # nonzero, so neither a square-free step nor a pairwise gcd runs in v
+        assert [c for c in calls if any(p.contains_var(v) for p in c)] == []
+        assert calls  # gcds on coefficients and emitted polynomials still run
+        assert _typed_terms(out) == _typed_terms(_reference_project(A, v))
 
 
 class TestLevels:
