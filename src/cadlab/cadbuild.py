@@ -271,19 +271,17 @@ def build_cad(
     if not inputs:
         raise ValueError("no nonconstant input polynomials")
     n = ordering.nvars
-    perm = ordering.order
-    relabeled = [p.permute_vars(perm) for p in inputs]
-    identity = VarOrdering(tuple(range(n)))
+    relabeled = ordering.relabel(inputs)
     designations: dict[int, Poly] = {}
     label = "-"
     levels = None
     with scoped_deadline(deadline):
         if mode == "ec":
             designations, label, levels = _choose_designation(
-                relabeled, formula, perm, designation
+                relabeled, formula, ordering, designation
             )
         if levels is None:
-            levels = projection_levels(relabeled, identity, designations=designations)
+            levels = projection_levels(relabeled, n, designations=designations)
         current = [Cell((), ())]
         tree_levels: list[list[Cell]] = []
         lifted: list[tuple[Poly, ...]] = []
@@ -326,7 +324,7 @@ def _stack_to_input_indices(stack_polys: Sequence[Poly], inputs: Sequence[Poly])
 def _choose_designation(
     relabeled: list[Poly],
     formula: Formula | None,
-    perm: tuple[int, ...],
+    ordering: VarOrdering,
     requested: int | None,
 ) -> tuple[dict[int, Poly], str, ProjectionLevels | None]:
     """Designations for EC mode, auto-scored by sotd unless one is requested.
@@ -339,11 +337,10 @@ def _choose_designation(
     if formula is None:
         ecs = list(relabeled)  # a bare polynomial set is read as a conjunction of = 0
     else:
-        ecs = [p.permute_vars(perm) for p in identify_ecs(formula)]
+        ecs = ordering.relabel(identify_ecs(formula))
     if not ecs:
         return {}, "none", None
-    identity = VarOrdering(tuple(range(len(perm))))
-    candidates = propagate_ecs(ecs, identity)
+    candidates = propagate_ecs(ecs)
     if requested is not None:
         top = candidates[-1]
         if not 0 <= requested < len(top):
@@ -355,10 +352,10 @@ def _choose_designation(
     best = None
     for d in enumerate_designations(candidates):
         try:
-            levels = projection_levels(relabeled, identity, designations=d)
+            levels = projection_levels(relabeled, ordering.nvars, designations=d)
         except ValueError:
             continue
-        score = score_designation(relabeled, d, identity, levels=levels)
+        score = score_designation(relabeled, d, levels=levels)
         if best is None or score < best[0]:
             best = (score, d, levels)
     if best is None:
@@ -374,11 +371,11 @@ def _label(mapping: dict[int, Poly]) -> str:
 
 def open_cad_fulldim(A: Iterable[Poly], ordering: VarOrdering) -> int:
     """Number of full-dimensional cells: sectors-only recursion, rational samples."""
-    relabeled = [p.permute_vars(ordering.order) for p in A if not p.is_constant()]
+    relabeled = ordering.relabel(p for p in A if not p.is_constant())
     if not relabeled:
         return 1
     n = ordering.nvars
-    levels = projection_levels(relabeled, VarOrdering(tuple(range(n))))
+    levels = projection_levels(relabeled, n)
     samples: list[tuple[Fraction, ...]] = [()]
     for k in range(1, n + 1):
         polys_k = levels.level(k)

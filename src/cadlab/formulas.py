@@ -5,7 +5,8 @@ Formulas are trees of atoms (polynomial, relation) under and/or/not plus the
 relation) and flattens nested conjunctions/disjunctions.  The equational
 constraint machinery identifies equations implied by the conjunction
 structure, propagates them level-by-level through resultants, enumerates
-designations, and scores a designation by running the reduced projection.
+designations, and scores a designation by running the reduced projection,
+all in lifting coordinates (inputs relabeled by the ordering).
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DesignationCapError
-from .ordering import VarOrdering
 from .polys import Poly, _poly_sort_key, distinct_normalized, resultant
 from .projection import ProjectionLevels, _emit, projection_levels, sotd_value
-from .realroots import count_distinct_real_roots
 
 __all__ = [
     "Atom",
@@ -183,34 +182,29 @@ def identify_ecs(f: Formula) -> list[Poly]:
     return sorted(walk(normalize(f)), key=_poly_sort_key)
 
 
-def _main_var(p: Poly, ordering: VarOrdering) -> int:
-    """Level of the ordering-highest variable present in the nonconstant p."""
-    return max(ordering.level_of(v) for v in p.variables())
+def propagate_ecs(E: Iterable[Poly]) -> list[list[Poly]]:
+    """Per-level EC candidates in lifting coordinates, index k-1 = level k.
 
-
-def propagate_ecs(E: Iterable[Poly], ordering: VarOrdering) -> list[list[Poly]]:
-    """Per-level EC candidates, index k-1 = level k (1-based levels).
-
-    Level candidates start from the input ECs with that level's main variable;
-    each level below adds the pairwise resultants of the level above,
-    square-freed and normalized, constants dropped.
+    Each input EC starts at the level of its highest variable (x_{k-1} at
+    level k); each level below adds the pairwise resultants of the level
+    above in its variable, square-freed and normalized, constants dropped.
     """
     E = distinct_normalized(E)
     if not E:
         raise ValueError("no equational constraints to propagate")
-    levels: list[dict[Poly, None]] = [{} for _ in range(ordering.nvars)]
+    n = E[0].nvars
+    levels: list[dict[Poly, None]] = [{} for _ in range(n)]
     for p in E:
-        levels[_main_var(p, ordering) - 1][p] = None
-    for k in range(ordering.nvars, 1, -1):
-        # every candidate of level k involves the level variable
-        v = ordering.var_at_level(k)
+        levels[p.variables()[-1]][p] = None
+    for k in range(n, 1, -1):
+        # every candidate of level k involves x_{k-1}
         above = list(levels[k - 1])
         found: dict[Poly, None] = {}
         for i, a in enumerate(above):
             for b in above[i + 1 :]:
-                _emit(found, resultant(a, b, v))
+                _emit(found, resultant(a, b, k - 1))
         for r in found:
-            levels[_main_var(r, ordering) - 1][r] = None
+            levels[r.variables()[-1]][r] = None
     return [sorted(level, key=_poly_sort_key) for level in levels]
 
 
@@ -238,22 +232,17 @@ def enumerate_designations(candidates: Sequence[Sequence[Poly]]) -> list[dict[in
 def score_designation(
     A: Iterable[Poly],
     designation: Mapping[int, Poly],
-    ordering: VarOrdering,
-    measure: str = "sotd",
     levels: ProjectionLevels | None = None,
 ) -> int:
-    """Projection size under the designation: sotd or ndrr of the level stack.
+    """Projection size under the designation: the sotd of its level stack.
 
-    Designations apply the reduced operator at their levels (level 1 carries
-    no projection, so its designation is inert).  Projection errors propagate.
-    A caller that goes on to lift over the designation's levels computes them
-    and passes them as ``levels``.
+    A and the designation are in lifting coordinates.  Designations apply
+    the reduced operator at their levels (level 1 carries no projection, so
+    its designation is inert).  Projection errors propagate.  A caller that
+    goes on to lift over the designation's levels computes them and passes
+    them as ``levels``.
     """
     if levels is None:
-        levels = projection_levels(A, ordering, designations=designation)
-    if measure == "sotd":
-        return sotd_value(levels)
-    if measure == "ndrr":
-        base = ordering.var_at_level(1)
-        return count_distinct_real_roots(levels.univariate_level(), base)
-    raise ValueError(f"unknown designation measure {measure!r}")
+        A = list(A)
+        levels = projection_levels(A, A[0].nvars, designations=designation)
+    return sotd_value(levels)

@@ -3,7 +3,8 @@
 Ordering heuristics return a :class:`HeuristicReport` with the chosen ordering
 and the full per-candidate score table, so the bench harness can compare them
 without re-running.  Exhaustive searches enumerate admissible orderings
-lexicographically (base variable first) and keep the first argmin; per-step
+lexicographically (base variable first) and keep the first argmin; sotd and
+ndrr score the projection levels that ``build_cad`` lifts over.  Per-step
 heuristics (Brown, greedy sotd) break ties by eliminating the highest-indexed
 variable first, which makes a full tie come out as the declared order.
 """
@@ -18,7 +19,7 @@ from .errors import Deadline, checkpoint, scoped_deadline
 from .groebner import MonomialOrder, buchberger
 from .ordering import QuantifierBlock, VarOrdering, admissible_orderings, ordering_segments
 from .polys import Poly, degree_stats
-from .projection import mccallum_project, projection_levels, sotd_value
+from .projection import ProjectionLevels, mccallum_project, projection_levels, sotd_value
 from .realroots import count_distinct_real_roots
 
 __all__ = [
@@ -72,6 +73,11 @@ def brown_order(
     return HeuristicReport("brown", chosen, table)
 
 
+def _lifting_levels(polys: list[Poly], ordering: VarOrdering) -> ProjectionLevels:
+    """The projection that ``build_cad`` computes: inputs relabeled by the ordering."""
+    return projection_levels(ordering.relabel(polys), ordering.nvars)
+
+
 def _argmin_over_orderings(
     name: str,
     A: Iterable[Poly],
@@ -101,15 +107,17 @@ def order_by_sotd(
 ) -> HeuristicReport:
     """Smallest projection, by sum of total degrees.
 
-    exhaustive: evaluate every admissible ordering and take the argmin.
+    exhaustive: evaluate every admissible ordering and take the argmin; each
+    score is the sotd of the levels ``build_cad`` lifts over.
     greedy: commit one elimination at a time, choosing the variable whose
-    projection adds the least sotd.
+    projection adds the least sotd.  It projects in declared labels, since the
+    lifting coordinates of the variables below are unknown until it ends.
     """
     with scoped_deadline(deadline):
         if strategy == "exhaustive":
             return _argmin_over_orderings(
                 "sotd", A, nvars, blocks,
-                lambda polys, ordering: sotd_value(projection_levels(polys, ordering)),
+                lambda polys, ordering: sotd_value(_lifting_levels(polys, ordering)),
             )
         if strategy != "greedy":
             raise ValueError(f"unknown sotd strategy {strategy!r}")
@@ -149,12 +157,10 @@ def order_by_ndrr(
     blocks: Sequence[QuantifierBlock] = (),
     deadline: Deadline | None = None,
 ) -> HeuristicReport:
-    """Fewest distinct real roots among the univariate projection polynomials."""
+    """Fewest distinct real roots of level 1, the univariate polynomials in x_0."""
 
     def score(polys: list[Poly], ordering: VarOrdering) -> int:
-        base = ordering.var_at_level(1)
-        univariate = projection_levels(polys, ordering).univariate_level()
-        return count_distinct_real_roots([p for p in univariate if p.contains_var(base)], base)
+        return count_distinct_real_roots(_lifting_levels(polys, ordering).level(1), 0)
 
     with scoped_deadline(deadline):
         return _argmin_over_orderings("ndrr", A, nvars, blocks, score)

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import OrderingCapError
+from .polys import Poly
 
 __all__ = ["QuantifierBlock", "VarOrdering", "admissible_orderings", "ordering_segments"]
 
@@ -49,12 +50,9 @@ class VarOrdering:
     def nvars(self) -> int:
         return len(self.order)
 
-    def var_at_level(self, k: int) -> int:
-        """Main variable of level k (1-based): the k-th ordering entry."""
-        return self.order[k - 1]
-
-    def level_of(self, v: int) -> int:
-        return self.order.index(v) + 1
+    def relabel(self, polys: Iterable[Poly]) -> list[Poly]:
+        """The polynomials in lifting coordinates: x_j becomes the level j+1 variable."""
+        return [p.permute_vars(self.order) for p in polys]
 
     def to_names(self, names: Sequence[str]) -> str:
         return ",".join(names[i] for i in self.order)

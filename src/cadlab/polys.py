@@ -705,6 +705,14 @@ def _poly_sort_key(p: Poly):
     )
 
 
+class _SortKeys(dict):
+    """One call's memo of :func:`_poly_sort_key`: ``keys[p]`` computes p's key once."""
+
+    def __missing__(self, p: Poly):
+        key = self[p] = _poly_sort_key(p)
+        return key
+
+
 def distinct_normalized(A: Iterable[Poly]) -> list[Poly]:
     """Nonconstant members of A, normalized, deduplicated; first occurrences in order.
 
@@ -732,7 +740,7 @@ def squarefree_primitive_basis(
 
 
 def _certified_basis(
-    A: Iterable[Poly], v: int
+    A: Iterable[Poly], v: int, keys: _SortKeys | None = None
 ) -> tuple[list[Poly], list[Poly], dict[Poly, Poly], dict[tuple[Poly, Poly], Poly]]:
     """:func:`squarefree_primitive_basis` plus the values that certified it.
 
@@ -747,12 +755,14 @@ def _certified_basis(
     ``discriminant(p, v)`` and ``ress[p, q]`` is ``resultant(p, q, v)``,
     for p before q in the basis order, exactly as the projection would
     compute them.  Values for a polynomial or pair that a later split
-    removed are kept too; the projection never asks for them.
+    removed are kept too; the projection never asks for them.  ``keys``
+    is the caller's sort-key memo, so a key is computed once per call.
     """
+    key = (_SortKeys() if keys is None else keys).__getitem__
     parts: list[Poly] = []
     contents: set[Poly] = set()
     discs: dict[Poly, Poly] = {}
-    for p in sorted(A, key=_poly_sort_key):
+    for p in sorted(A, key=key):
         if p.is_constant():
             continue
         # content_in is normalized, and a constant content is 1
@@ -785,7 +795,7 @@ def _certified_basis(
         i = 0
         while i < len(basis) and not p.is_constant():
             b = basis[i]
-            pair = tuple(sorted((p, b), key=_poly_sort_key))
+            pair = (p, b) if key(p) <= key(b) else (b, p)
             r = resultant(*pair, v)
             if not r.is_zero():
                 ress[pair] = r
@@ -808,8 +818,8 @@ def _certified_basis(
             i += 1
         if not p.is_constant():
             basis.append(p)
-    basis.sort(key=_poly_sort_key)
-    return basis, sorted(contents, key=_poly_sort_key), discs, ress
+    basis.sort(key=key)
+    return basis, sorted(contents, key=key), discs, ress
 
 
 # -- degree statistics ------------------------------------------------------------

@@ -8,6 +8,10 @@ made square-free in its own main variable, normalized to an integer-primitive
 positive-lead representative, deduplicated up to rational multiples, and
 constants are dropped.
 
+The layer knows only lifting coordinates, where x_{k-1} is eliminated at
+level k: callers relabel their inputs by the ordering first
+(``VarOrdering.relabel``), so heuristics score the levels the build lifts over.
+
 Each subresultant chain runs once.  Building the basis asks each part's
 discriminant and each pair's resultant first, and a nonzero answer stands in
 for the gcd that would prove the part square-free or the pair coprime
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import checkpoint
-from .ordering import VarOrdering
 from .polys import (
     Poly,
+    _SortKeys,
     _certified_basis,
     _poly_sort_key,
     content_in,
@@ -76,7 +80,8 @@ def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
     drop, so none is computed.
     """
     collected: dict[Poly, None] = {}
-    basis, contents, discs, ress = _certified_basis(A, v)
+    keys = _SortKeys()
+    basis, contents, discs, ress = _certified_basis(A, v, keys)
     for c in contents:
         _emit(collected, c)
     for b in basis:
@@ -88,7 +93,7 @@ def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
         for c in basis[i + 1 :]:
             r = ress.get((b, c))
             _emit(collected, resultant(b, c, v) if r is None else r)
-    return sorted(collected, key=_poly_sort_key)
+    return sorted(collected, key=keys.__getitem__)
 
 
 def reduced_ec_project(A: Iterable[Poly], e: Poly, v: int) -> list[Poly]:
@@ -115,21 +120,17 @@ def reduced_ec_project(A: Iterable[Poly], e: Poly, v: int) -> list[Poly]:
 
 @dataclass(frozen=True)
 class ProjectionLevels:
-    """Projection polynomials per level for one ordering.
+    """Projection polynomials per level, in lifting coordinates.
 
-    ``levels[k]`` (1-based via :meth:`level`) holds the polynomials of level k;
-    level ``n`` is the (normalized, deduplicated) input and level 1 is
-    univariate in the ordering's base variable.
+    ``levels[k]`` (1-based via :meth:`level`) holds the polynomials of level k,
+    which mention only x_0..x_{k-1}; level ``n`` is the (normalized,
+    deduplicated) input and level 1 is univariate in x_0.
     """
 
-    ordering: VarOrdering
     levels: tuple[tuple[Poly, ...], ...]
 
     def level(self, k: int) -> tuple[Poly, ...]:
         return self.levels[k - 1]
-
-    def univariate_level(self) -> tuple[Poly, ...]:
-        return self.levels[0]
 
 
 def sotd_value(levels: ProjectionLevels) -> int:
@@ -144,22 +145,20 @@ def sotd_value(levels: ProjectionLevels) -> int:
 
 def projection_levels(
     A: Iterable[Poly],
-    ordering: VarOrdering,
+    nvars: int,
     designations: Mapping[int, Poly] | None = None,
 ) -> ProjectionLevels:
-    """Apply the projection operator from level n down to level 1.
+    """Apply the projection operator from level ``nvars`` down to level 1.
 
-    ``designations`` maps a level number to its designated EC; those levels
-    project with the reduced operator.  Level sets only ever mention the first
-    k ordering variables (checked structurally by the tests).
+    Level k eliminates x_{k-1}.  ``designations`` maps a level number to its
+    designated EC; those levels project with the reduced operator.
     """
     designations = designations or {}
     current = sorted(distinct_normalized(A), key=_poly_sort_key)
-    n = ordering.nvars
     out = [tuple(current)]
-    for k in range(n, 1, -1):
+    for k in range(nvars, 1, -1):
         checkpoint()
-        v = ordering.var_at_level(k)
+        v = k - 1
         if not any(p.contains_var(v) for p in current):
             # nothing mentions the level variable: the set passes through
             out.append(tuple(current))
@@ -171,4 +170,4 @@ def projection_levels(
             current = mccallum_project(current, v)
         out.append(tuple(current))
     out.reverse()
-    return ProjectionLevels(ordering, tuple(out))
+    return ProjectionLevels(tuple(out))

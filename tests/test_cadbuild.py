@@ -388,7 +388,7 @@ class TestEcReduced:
         monkeypatch.setattr(cadbuild, "score_designation", scoring)
         formula = BoolOp("and", (Atom(CIRCLE, "="), Atom(CIRCLE2, "=")))
         prob = Problem("two", ("x", "y"), formula=formula)
-        scored = list(enumerate_designations(propagate_ecs(identify_ecs(formula), XY)))
+        scored = list(enumerate_designations(propagate_ecs(identify_ecs(formula))))
         assert len(scored) > 1
         build_cad(prob, XY, mode="ec")
         # the build lifts over the winning designation's scored levels, and

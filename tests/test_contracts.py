@@ -171,6 +171,13 @@ def test_trusted_constructor_stays_inside_polys(path):
     assert "_adopt" not in set(_names(ast.parse(path.read_text(encoding="utf-8"))))
 
 
+@pytest.mark.parametrize("module", ["projection", "formulas"])
+def test_projection_layer_takes_no_ordering(module):
+    # the layer works in lifting coordinates only: callers relabel first
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert "VarOrdering" not in set(_names(tree))
+
+
 class TestPublicConstructorValidates:
     def test_float_coefficient(self):
         with pytest.raises(TypeError, match="rational"):

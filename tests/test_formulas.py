@@ -14,7 +14,7 @@ from cadlab.formulas import (
     score_designation,
 )
 from cadlab.heuristics import sotd_value
-from cadlab.ordering import VarOrdering
+from cadlab.ordering import VarOrdering, admissible_orderings
 from cadlab.polys import Poly
 from cadlab.projection import projection_levels
 
@@ -81,12 +81,12 @@ class TestIdentifyEcs:
 
 class TestPropagate:
     def test_circles(self):
-        cands = propagate_ecs([F1, F2], XY)
+        cands = propagate_ecs([F1, F2])
         assert cands[1] == sorted([F1, F2], key=lambda p: p.to_string())  # level 2
         assert cands[0] == [P({(1, 0): 2, (0, 0): -1})]  # level 1: 2x-1
 
     def test_single_ec_no_propagation(self):
-        cands = propagate_ecs([F1], XY)
+        cands = propagate_ecs([F1])
         assert cands[1] == [F1]
         assert cands[0] == []
 
@@ -94,28 +94,29 @@ class TestPropagate:
         # parallel lines x+y and x+y-1: resultant in y is the constant -1
         a = P({(1, 0): 1, (0, 1): 1})
         b = P({(1, 0): 1, (0, 1): 1, (0, 0): -1})
-        cands = propagate_ecs([a, b], XY)
+        cands = propagate_ecs([a, b])
         assert set(cands[1]) == {a, b}
         assert cands[0] == []
 
     def test_scope_invariant(self):
-        cands = propagate_ecs([F1, F2], XY)
-        for level_idx, level in enumerate(cands, start=1):
-            allowed = set(XY.order[:level_idx])
-            for p in level:
-                assert set(p.variables()) <= allowed
+        # in lifting coordinates level k mentions only x_0..x_{k-1}
+        for ordering in admissible_orderings(2):
+            cands = propagate_ecs(ordering.relabel([F1, F2]))
+            for level_idx, level in enumerate(cands, start=1):
+                for p in level:
+                    assert set(p.variables()) <= set(range(level_idx))
 
 
 class TestEnumerate:
     def test_circles_two_designations(self):
-        cands = propagate_ecs([F1, F2], XY)
+        cands = propagate_ecs([F1, F2])
         designs = enumerate_designations(cands)
         assert len(designs) == 2
         tops = {d[2] for d in designs}
         assert tops == {F1, F2}
 
     def test_single_ec_single_designation(self):
-        designs = enumerate_designations(propagate_ecs([F1], XY))
+        designs = enumerate_designations(propagate_ecs([F1]))
         assert len(designs) == 1
 
     def test_no_candidates_all_none(self):
@@ -136,7 +137,7 @@ class TestPinnedThreeVariables:
     ECS = [z * z + x * x + y * y - Poly.const(3, 4), z - x * y, y * y - x]
 
     def test_propagate_ecs(self):
-        cands = propagate_ecs(self.ECS, VarOrdering((0, 1, 2)))
+        cands = propagate_ecs(self.ECS)
         terms = [[[(e, c, type(c).__name__) for e, c in p.sorted_terms()] for p in level]
                  for level in cands]
         assert terms == [
@@ -151,7 +152,7 @@ class TestPinnedThreeVariables:
         ]
 
     def test_designation_order(self):
-        cands = propagate_ecs(self.ECS, VarOrdering((0, 1, 2)))
+        cands = propagate_ecs(self.ECS)
         designs = enumerate_designations(cands)
         # level 1 varies slowest, the top level fastest; keys ascend
         assert [list(d) for d in designs] == [[1, 2, 3]] * 4
@@ -161,43 +162,22 @@ class TestPinnedThreeVariables:
 
 
 class TestScore:
-    def test_symmetric_designations_tie_under_ndrr(self):
-        # the two-circle pair is symmetric under x -> 1-x; ndrr is invariant
-        # under that shift (sotd is not: monomial degree sums move)
-        cands = propagate_ecs([F1, F2], XY)
-        designs = enumerate_designations(cands)
-        scores = [score_designation([F1, F2], d, XY, measure="ndrr") for d in designs]
-        assert scores[0] == scores[1] == 3
-
     def test_all_none_matches_full_projection(self):
         d: dict = {}
-        full = sotd_value(projection_levels([F1, F2], XY))
-        assert score_designation([F1, F2], d, XY) == full
+        full = sotd_value(projection_levels([F1, F2], 2))
+        assert score_designation([F1, F2], d) == full
 
     def test_reduced_never_exceeds_full(self):
-        cands = propagate_ecs([F1, F2], XY)
-        full = sotd_value(projection_levels([F1, F2], XY))
+        cands = propagate_ecs([F1, F2])
+        full = sotd_value(projection_levels([F1, F2], 2))
         for d in enumerate_designations(cands):
-            assert score_designation([F1, F2], d, XY) <= full
-
-    def test_ndrr_measure(self):
-        cands = propagate_ecs([F1, F2], XY)
-        d = enumerate_designations(cands)[0]
-        score = score_designation([F1, F2], d, XY, measure="ndrr")
-        assert score == 3  # level 1 = {x^2-1, 2x-1}: roots -1, 1/2, 1
+            assert score_designation([F1, F2], d) <= full
 
     def test_given_levels_are_scored(self):
-        cands = propagate_ecs([F1, F2], XY)
+        cands = propagate_ecs([F1, F2])
         for d in enumerate_designations(cands):
-            levels = projection_levels([F1, F2], XY, designations=d)
-            for measure in ("sotd", "ndrr"):
-                assert (score_designation([F1, F2], d, XY, measure, levels=levels)
-                        == score_designation([F1, F2], d, XY, measure))
-
-    def test_unknown_measure(self):
-        d: dict = {}
-        with pytest.raises(ValueError):
-            score_designation([F1], d, XY, measure="entropy")
+            levels = projection_levels([F1, F2], 2, designations=d)
+            assert score_designation([F1, F2], d, levels=levels) == score_designation([F1, F2], d)
 
 
 class TestAtomPolys:

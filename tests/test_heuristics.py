@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from cadlab import cadbuild
+from cadlab.cadbuild import build_cad
 from cadlab.heuristics import (
     brown_order,
     gb_precondition_decision,
@@ -16,9 +18,11 @@ from cadlab.heuristics import (
     sotd_value,
     tnoi,
 )
-from cadlab.ordering import QuantifierBlock, VarOrdering, admissible_orderings
+from cadlab.ordering import QuantifierBlock, admissible_orderings
 from cadlab.polys import Poly
 from cadlab.projection import projection_levels
+from cadlab.randgen import RandomProfile, random_problems
+from cadlab.realroots import count_distinct_real_roots
 
 
 def P(terms):
@@ -56,12 +60,12 @@ class TestBrown:
 
 class TestSotd:
     def test_value_circle(self):
-        levels = projection_levels([CIRCLE], VarOrdering((0, 1)))
+        levels = projection_levels([CIRCLE], 2)
         assert sotd_value(levels) == 6
 
     def test_empty_level_zero(self):
         p = Poly(1, {(1,): 1})
-        levels = projection_levels([p], VarOrdering((0,)))
+        levels = projection_levels([p], 1)
         assert sotd_value(levels) == 1  # single monomial x at the input level
 
     def test_blowup_exhaustive(self):
@@ -125,6 +129,55 @@ class TestFulldim:
     def test_single_poly_single_var(self):
         rep = order_by_fulldim([Poly(1, {(1,): 1})], 1)
         assert rep.chosen.order == (0,)
+
+
+SEED_900 = random_problems(900, 20, RandomProfile(nvars=3, npolys=3, max_degree=3))
+
+
+class _Levels(Exception):
+    """Stops build_cad before lifting, carrying the levels it would lift over."""
+
+
+def _score_tables(problem):
+    polys = problem.input_polys()
+    return (dict(order_by_sotd(polys, problem.nvars, problem.blocks).scores),
+            dict(order_by_ndrr(polys, problem.nvars, problem.blocks).scores))
+
+
+def _assert_tables_measure(problem, sotd, ndrr, ordering, levels):
+    name = ordering.to_names([f"x{i}" for i in range(problem.nvars)])
+    assert sotd[name] == sotd_value(levels), (problem.name, name)
+    assert ndrr[name] == count_distinct_real_roots(levels.level(1), 0), (problem.name, name)
+
+
+class TestScoresMeasureTheBuild:
+    """sotd and ndrr score exactly the projection levels build_cad lifts over."""
+
+    @pytest.mark.parametrize("index", range(len(SEED_900)))
+    def test_every_ordering_of_seed_900(self, index, monkeypatch):
+        # half of these orderings are not well oriented or lift for seconds,
+        # so the build is stopped once its projection levels exist; on
+        # random-900-0000 declared-label scoring gave x1,x0,x2 sotd 218, and
+        # the build lifts over levels of sotd 217
+        def stop(*args, **kwargs):
+            raise _Levels(projection_levels(*args, **kwargs))
+
+        monkeypatch.setattr(cadbuild, "projection_levels", stop)
+        problem = SEED_900[index]
+        sotd, ndrr = _score_tables(problem)
+        for ordering in admissible_orderings(problem.nvars, problem.blocks):
+            with pytest.raises(_Levels) as stopped:
+                build_cad(problem, ordering)
+            _assert_tables_measure(problem, sotd, ndrr, ordering, stopped.value.args[0])
+
+    def test_built_trees_carry_the_scored_levels(self):
+        # every ordering lifts in milliseconds; declared-label scoring gave x2,x0,x1
+        # sotd 13, and the build lifts over levels of sotd 12
+        problem = SEED_900[18]
+        sotd, ndrr = _score_tables(problem)
+        for ordering in admissible_orderings(problem.nvars, problem.blocks):
+            tree = build_cad(problem, ordering)
+            _assert_tables_measure(problem, sotd, ndrr, ordering, tree.projection)
 
 
 class TestScaleInvariance:
