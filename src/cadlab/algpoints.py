@@ -132,7 +132,7 @@ def _refined_sign(
         if hi < 0:
             return -1
         if gap is None and rounds == _REFINE_ROUNDS_BEFORE_EXACT:
-            gap = _root_gap(_carrier(q, point, tower), q.nvars)
+            gap = _root_gap(_carrier(q, point, tower)[0], q.nvars)
         if gap is not None and -gap < lo and hi < gap:
             return 0
         if rounds == _MAX_ROUNDS:
@@ -145,7 +145,9 @@ def _refined_sign(
             rounds = 0
 
 
-def _carrier(q: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = None) -> Poly:
+def _carrier(
+    q: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = None
+) -> tuple[Poly, bool]:
     """z - q, with z a new last variable, and the coordinates eliminated from it.
 
     The coordinates go from the top down.  A rational one is substituted, one
@@ -155,15 +157,9 @@ def _carrier(q: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = No
     replaced by the carrier built without the tower: E_k can share a factor
     with the carrier at the sample's lower coordinates, including rational
     ones that E_k brings back and that are substituted only further down.
+    Returns the carrier and whether a gcd split anything on the way (see
+    :func:`_eliminate_coordinate`).
     """
-    return _split_carrier(q, point, tower)[0]
-
-
-def _split_carrier(
-    q: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = None
-) -> tuple[Poly, bool]:
-    """:func:`_carrier`, plus whether a gcd split anything on the way (see
-    :func:`_eliminate_coordinate`)."""
     nv = q.nvars + 1
     g = Poly.var(nv, q.nvars) - _with_z(q)
     split = False
@@ -181,7 +177,7 @@ def _split_carrier(
         else:
             g = _resultant_any(_with_z(e), g, k)
     if tower is not None and g.is_zero():
-        return _split_carrier(q, point)
+        return _carrier(q, point)
     return g, split
 
 
@@ -317,8 +313,7 @@ def roots_above(
     if not _substitution_squarefree(trunc, point, v, true_deg):
         # exact zero tests against a z - p carrier; the base-coordinate
         # elimination prefix and per-defining eliminants are shared
-        prefix, _ = _shared_or_computed(shared, ("prefix", *key),
-                                        lambda: _split_carrier(trunc, point))
+        prefix, _ = _shared_or_computed(shared, ("prefix", *key), partial(_carrier, trunc, point))
         z = trunc.nvars
         for beta in candidates:
             checkpoint()

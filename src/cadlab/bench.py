@@ -125,7 +125,7 @@ def _run_task(
     """
     build = config.build or ordering is not None
     row = BenchRow(problem.name, heuristic, "-", "-", config.mode, None, None, None, "ok")
-    deadline = Deadline.after_ms(config.timeout_ms) if config.timeout_ms else None
+    deadline = None if config.timeout_ms is None else Deadline.after_ms(config.timeout_ms)
     start = time.monotonic()
     try:
         with scoped_deadline(deadline):

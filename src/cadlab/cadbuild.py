@@ -43,8 +43,9 @@ class Cell:
     """One CAD cell: positional index, exact sample point, and leaf signs.
 
     ``signs`` aligns with the tree's input polynomial list and is populated
-    lazily (leaf cells only); ``zero_polys`` records which stack polynomials
-    vanish on a section cell, discovered during stack construction.
+    lazily (leaf cells only); ``zero_polys`` indexes the polynomials the
+    cell's level lifted over (the stack's list) that vanish on the cell,
+    discovered during stack construction.
     """
 
     index: tuple[int, ...]
@@ -139,7 +140,8 @@ class CADTree:
     normalized); leaf signs align with them.  ``cell_count`` follows the
     convention that a CAD of R^n has the leaf cells as its cells.
     ``_lifted[k]`` holds the polynomials lifted over at level k+1, the ones
-    ``zero_polys`` indexes (the relabeled inputs at the top level).
+    ``zero_polys`` indexes at that level (a designated level of an EC-mode
+    tree lifts over its designated EC alone).
     """
 
     ordering: VarOrdering
@@ -301,24 +303,9 @@ def build_cad(
             tree_levels.append(next_cells)
             lifted.append(tuple(stack_polys))
             current = next_cells
-    # zero_polys indices refer to the top stack polynomials; leaf signs index inputs
-    translation = _stack_to_input_indices(stack_polys, relabeled)
-    for cell in current:
-        cell.zero_polys = frozenset(translation[j] for j in cell.zero_polys if j in translation)
-    lifted[-1] = tuple(relabeled)
     return CADTree(ordering, tuple(inputs), tree_levels, levels, mode,
                    designation_label=label, _relabeled_inputs=tuple(relabeled),
                    _lifted=tuple(lifted))
-
-
-def _stack_to_input_indices(stack_polys: Sequence[Poly], inputs: Sequence[Poly]) -> dict[int, int]:
-    index_of = {p.normalized(): i for i, p in enumerate(inputs)}
-    out: dict[int, int] = {}
-    for j, sp in enumerate(stack_polys):
-        i = index_of.get(sp.normalized())
-        if i is not None:
-            out[j] = i
-    return out
 
 
 def _choose_designation(

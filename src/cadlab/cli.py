@@ -102,6 +102,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "bench":
+            if args.timeout is not None and not args.timeout > 0:  # nan too
+                parser.error("--timeout must be a positive number of milliseconds")
+            if args.jobs < 1:
+                parser.error("--jobs must be at least 1")
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -41,6 +41,10 @@ produce an integral ``Fraction`` (``+``, ``*``, ``derivative``,
 ``substitute``, ``divexact``) one pass, ``_ints``, stores it as an ``int``.
 A polynomial that is already canonical is its own normalized form, and
 ``is_constant`` reads at most one term.
+
+A ``Poly`` keeps its hash and its sort key (``_poly_sort_key``, the order of
+every emitted polynomial set) in slots, each computed on first use; both are
+pure functions of the immutable terms, and ``_adopt`` starts both empty.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dense import _deriv, _uni_gcd, dense_from_poly
+from .dense import _deriv, _interval_mul, _interval_pow, _uni_gcd, dense_from_poly
 from .errors import checkpoint
 
 __all__ = [
@@ -101,7 +105,7 @@ class Poly:
     every derived computation is deterministic.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_sort_key")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         if nvars < 0:
@@ -119,6 +123,7 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_sort_key", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
@@ -439,7 +444,8 @@ class Poly:
 
 # the slots' own setters: they pass Poly.__setattr__'s immutability guard and
 # cost less than object.__setattr__ on this path
-_set_nvars, _set_terms, _set_hash = Poly.nvars.__set__, Poly.terms.__set__, Poly._hash.__set__
+_set_nvars, _set_terms = Poly.nvars.__set__, Poly.terms.__set__
+_set_hash, _set_sort_key = Poly._hash.__set__, Poly._sort_key.__set__
 
 
 def _adopt(nvars: int, terms: dict) -> Poly:
@@ -452,20 +458,8 @@ def _adopt(nvars: int, terms: dict) -> Poly:
     _set_nvars(p, nvars)
     _set_terms(p, terms)
     _set_hash(p, None)
+    _set_sort_key(p, None)
     return p
-
-
-def _interval_mul(alo, ahi, blo, bhi):
-    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(products), max(products)
-
-
-def _interval_pow(lo, hi, e):
-    if e % 2 == 1 or lo >= 0:
-        return lo**e, hi**e
-    if hi <= 0:
-        return hi**e, lo**e
-    return 0, max(lo**e, hi**e)
 
 
 # -- exact division and pseudo-division ---------------------------------------
@@ -697,20 +691,19 @@ def _squarefree_primitive(pp: Poly, v: int) -> Poly:
 
 
 def _poly_sort_key(p: Poly):
-    """The deterministic order of every polynomial set the package emits."""
-    return (
-        p.total_degree(),
-        len(p.terms),
-        tuple((e, c.numerator, c.denominator) for e, c in p.sorted_terms()),
-    )
+    """The deterministic order of every polynomial set the package emits.
 
-
-class _SortKeys(dict):
-    """One call's memo of :func:`_poly_sort_key`: ``keys[p]`` computes p's key once."""
-
-    def __missing__(self, p: Poly):
-        key = self[p] = _poly_sort_key(p)
-        return key
+    Computed once per object and kept in its slot, like the hash.
+    """
+    key = p._sort_key
+    if key is None:
+        key = (
+            p.total_degree(),
+            len(p.terms),
+            tuple((e, c.numerator, c.denominator) for e, c in p.sorted_terms()),
+        )
+        _set_sort_key(p, key)
+    return key
 
 
 def distinct_normalized(A: Iterable[Poly]) -> list[Poly]:
@@ -740,7 +733,7 @@ def squarefree_primitive_basis(
 
 
 def _certified_basis(
-    A: Iterable[Poly], v: int, keys: _SortKeys | None = None
+    A: Iterable[Poly], v: int
 ) -> tuple[list[Poly], list[Poly], dict[Poly, Poly], dict[tuple[Poly, Poly], Poly]]:
     """:func:`squarefree_primitive_basis` plus the values that certified it.
 
@@ -755,14 +748,12 @@ def _certified_basis(
     ``discriminant(p, v)`` and ``ress[p, q]`` is ``resultant(p, q, v)``,
     for p before q in the basis order, exactly as the projection would
     compute them.  Values for a polynomial or pair that a later split
-    removed are kept too; the projection never asks for them.  ``keys``
-    is the caller's sort-key memo, so a key is computed once per call.
+    removed are kept too; the projection never asks for them.
     """
-    key = (_SortKeys() if keys is None else keys).__getitem__
     parts: list[Poly] = []
     contents: set[Poly] = set()
     discs: dict[Poly, Poly] = {}
-    for p in sorted(A, key=key):
+    for p in sorted(A, key=_poly_sort_key):
         if p.is_constant():
             continue
         # content_in is normalized, and a constant content is 1
@@ -795,7 +786,7 @@ def _certified_basis(
         i = 0
         while i < len(basis) and not p.is_constant():
             b = basis[i]
-            pair = (p, b) if key(p) <= key(b) else (b, p)
+            pair = (p, b) if _poly_sort_key(p) <= _poly_sort_key(b) else (b, p)
             r = resultant(*pair, v)
             if not r.is_zero():
                 ress[pair] = r
@@ -818,8 +809,8 @@ def _certified_basis(
             i += 1
         if not p.is_constant():
             basis.append(p)
-    basis.sort(key=key)
-    return basis, sorted(contents, key=key), discs, ress
+    basis.sort(key=_poly_sort_key)
+    return basis, sorted(contents, key=_poly_sort_key), discs, ress
 
 
 # -- degree statistics ------------------------------------------------------------

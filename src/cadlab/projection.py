@@ -28,7 +28,6 @@ from typing import Iterable, Mapping
 from .errors import checkpoint
 from .polys import (
     Poly,
-    _SortKeys,
     _certified_basis,
     _poly_sort_key,
     content_in,
@@ -80,8 +79,7 @@ def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
     drop, so none is computed.
     """
     collected: dict[Poly, None] = {}
-    keys = _SortKeys()
-    basis, contents, discs, ress = _certified_basis(A, v, keys)
+    basis, contents, discs, ress = _certified_basis(A, v)
     for c in contents:
         _emit(collected, c)
     for b in basis:
@@ -93,7 +91,7 @@ def mccallum_project(A: Iterable[Poly], v: int) -> list[Poly]:
         for c in basis[i + 1 :]:
             r = ress.get((b, c))
             _emit(collected, resultant(b, c, v) if r is None else r)
-    return sorted(collected, key=keys.__getitem__)
+    return sorted(collected, key=_poly_sort_key)
 
 
 def reduced_ec_project(A: Iterable[Poly], e: Poly, v: int) -> list[Poly]:

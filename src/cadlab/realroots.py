@@ -30,9 +30,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .dense import _canonical, _deriv, _div_exact, _primitive, _strip, _uni_gcd, dense_from_poly
+from .dense import (_canonical, _deriv, _div_exact, _interval_pow, _primitive, _strip, _uni_gcd,
+                    dense_from_poly)
 from .errors import checkpoint
-from .polys import Poly
+from .polys import Poly, _as_coeff
 
 __all__ = [
     "AlgebraicNumber",
@@ -262,9 +263,10 @@ def sign_at(u: Sequence, alpha: AlgebraicNumber) -> int:
     gcd(defining, u): the gcd has a root in alpha's interval iff its
     sign-variation count there is odd (it has at most one).  Other nonzero
     signs come from interval refinement.  u holds int or Fraction
-    coefficients, low to high.
+    coefficients, low to high; any other coefficient raises the TypeError
+    that ``Poly(...)`` raises.
     """
-    u = _primitive(_strip(list(u)))
+    u = _primitive(_strip([_as_coeff(x) for x in u]))
     if not u:
         return 0
     if alpha.is_rational:
@@ -303,14 +305,7 @@ def _interval_eval_dense(u: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[
     for i in range(len(u) - 1, -1, -1):
         c = u[i]
         if c:
-            if i == 0:
-                plo = phi = 1
-            elif i % 2 == 1 or a >= 0:
-                plo, phi = a**i, b**i
-            elif b <= 0:
-                plo, phi = b**i, a**i
-            else:
-                plo, phi = 0, max(a**i, b**i)
+            plo, phi = _interval_pow(a, b, i) if i else (1, 1)
             k = c * scale
             if k > 0:
                 rlo += k * plo
@@ -368,13 +363,13 @@ def isolate_real_roots(
     """All distinct real roots of p (via its square-free part), sorted, as a tuple.
 
     Accepts a univariate Poly or a dense coefficient sequence (int or
-    rational coefficients, low to high).  Raises ValueError on the zero
-    polynomial.
+    Fraction coefficients, low to high; any other raises the TypeError that
+    ``Poly(...)`` raises).  Raises ValueError on the zero polynomial.
     """
     if isinstance(p, Poly):
         c = dense_from_poly(p, v)
     else:
-        c = _strip([Fraction(x) for x in p])
+        c = _strip([_as_coeff(x) for x in p])
     if not c:
         raise ValueError("identically zero")
     if len(c) == 1:

@@ -60,6 +60,14 @@ class TestBench:
         assert row.status == "timeout"
         assert row.cells is None
 
+    def test_zero_timeout_is_a_zero_budget(self, tmp_path):
+        work = tmp_path / "corpus"
+        work.mkdir()
+        shutil.copy(CORPUS / "two_circles.json", work)
+        report = run_bench(work, BenchConfig(heuristics=("sotd",), timeout_ms=0))
+        (row,) = report.rows
+        assert row.status == "timeout"
+
     def test_malformed_file_isolated(self, tmp_path):
         work = tmp_path / "corpus"
         work.mkdir()
@@ -184,6 +192,20 @@ class TestCli:
     def test_exit_code_usage(self):
         assert main(["cad"]) == 1
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("timeout", ["0", "-5", "nan"])
+    def test_bench_rejects_a_nonpositive_timeout(self, tmp_path, capsys, timeout):
+        out = tmp_path / "r.csv"
+        assert main(["bench", str(CORPUS), "--out", str(out), "--timeout", timeout]) == 1
+        assert "--timeout must be a positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bench_rejects_fewer_than_one_job(self, tmp_path, capsys, jobs):
+        out = tmp_path / "r.csv"
+        assert main(["bench", str(CORPUS), "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_code_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.smt2"

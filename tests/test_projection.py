@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from cadlab.polys import (
     squarefree_primitive_basis,
 )
 from cadlab.projection import mccallum_project, projection_levels, reduced_ec_project
+from cadlab.randgen import RandomProfile, random_problems
 
 X = Poly.var(2, 0)
 Y = Poly.var(2, 1)
@@ -322,6 +324,23 @@ class TestLevels:
     def test_missing_level_variable_passes_through(self):
         levels = projection_levels([X2M1], 2)
         assert levels.level(2) == levels.level(1) == (X2M1,)
+
+    def test_each_polynomial_is_keyed_once(self, monkeypatch):
+        # a sort key costs one sorted_terms call; each level is the sorted
+        # output of the one above, so its keys must not be built again
+        keyed = []  # holds the objects, so no id is reused
+        inner = Poly.sorted_terms
+
+        def recording(p):
+            keyed.append(p)
+            return inner(p)
+
+        monkeypatch.setattr(Poly, "sorted_terms", recording)
+        profile = RandomProfile(nvars=3, npolys=3, max_degree=3)
+        for problem in random_problems(900, 150, profile)[:5]:
+            projection_levels(problem.input_polys(), problem.nvars)
+        per_object = Counter(map(id, keyed))
+        assert per_object and max(per_object.values()) == 1
 
 
 class TestOrderings:

@@ -57,6 +57,11 @@ class TestIsolate:
         with pytest.raises(ValueError, match="identically zero"):
             isolate_real_roots(Poly.zero(1))
 
+    def test_float_coefficient_rejected_like_poly(self):
+        # Fraction(0.5) is exact, but a float is no rational coefficient
+        with pytest.raises(TypeError, match="coefficient must be rational"):
+            isolate_real_roots([0.5, 1])
+
     def test_multiplicities_collapse(self):
         roots = isolate_real_roots(U([1, -2, 1]))  # (x-1)^2
         assert len(roots) == 1
@@ -347,6 +352,10 @@ class TestSignAt:
         a = AlgebraicNumber.from_rational(Fraction(1, 2))
         assert sign_at((-1, 2), a) == 0
         assert sign_at((1, 2), a) > 0
+
+    def test_float_coefficient_rejected_like_poly(self):
+        with pytest.raises(TypeError, match="coefficient must be rational"):
+            sign_at((0.5, 1), SQRT2)
 
     def test_enclosure_decides_before_the_gcd(self, monkeypatch):
         from cadlab import realroots

@@ -103,6 +103,23 @@ class TestDifferential:
         assert towered_carriers[0] > 0
 
 
+class TestLeafZeroPolys:
+    def test_ec_leaves_index_the_top_lifted_list(self):
+        # at every level zero_polys indexes the polynomials that level lifted
+        # over; an EC-mode top level lifts over its designated EC alone
+        sections = 0
+        for problem, tree in _differential_trees("ec"):
+            top = tree._lifted[-1]
+            for leaf in tree.leaves():
+                for i in leaf.zero_polys:
+                    assert 0 <= i < len(top), (problem.name, leaf.index)
+                    assert sign_at_point(top[i], leaf.sample) == 0, (problem.name, leaf.index)
+                if leaf.index[-1] % 2 == 0:
+                    sections += 1
+                    assert leaf.zero_polys, (problem.name, leaf.index)
+        assert sections > 0
+
+
 def _squarefree_in_main_variable(p: Poly) -> bool:
     return squarefree_part(p, p.variables()[-1]).normalized() == p.normalized()
 
@@ -184,7 +201,7 @@ class TestEdgeCases:
         with_z = algpoints._with_z
         g = algpoints._resultant_any(with_z(e1), Poly.var(3, 2) - with_z(q), 1)
         assert algpoints._resultant_any(with_z(e0), g, 0).is_zero()
-        assert _carrier(q, point, tower) == _carrier(q, point)
+        assert _carrier(q, point, tower)[0] == _carrier(q, point)[0]
         assert sign_at_point(q, point, tower) == 0
 
     def test_rational_ancestor_coordinate_is_substituted(self):
@@ -195,11 +212,11 @@ class TestEdgeCases:
         q = poly(3, {(0, 1, 1): 2, (1, 0, 0): -2, (0, 0, 0): -1})  # 2*x1*x2 - 2*x0 - 1
         point = (rat(Fraction(1, 2)), SQRT2, HALF_SQRT2)
         tower = {2: e2}.get
-        towered = _carrier(q, point, tower)
+        towered = _carrier(q, point, tower)[0]
         assert towered.variables() == (3,)
         # through the tower the eliminant has degree 2 in z, not 4
         assert towered.degree(3) == 2
-        assert _carrier(q, point).degree(3) == 4
+        assert _carrier(q, point)[0].degree(3) == 4
         assert sign_at_point(q, point, tower) == 0
         assert sign_at_point(q + Poly.one(3), point, tower) == 1
 
@@ -222,7 +239,7 @@ class TestEdgeCases:
         assert not g.is_zero()
         g, _split = algpoints._eliminate_coordinate(g, 1, point[1])
         assert not g.is_zero() and g.substitute({0: Fraction(0)}).is_zero()
-        assert _carrier(q, point, tower) == _carrier(q, point)
+        assert _carrier(q, point, tower)[0] == _carrier(q, point)[0]
         assert sign_at_point(q, point, tower) == 0
         assert sign_at_point(q + Poly.one(3), point, tower) == 1
 
