@@ -53,7 +53,8 @@ from typing import Callable, Sequence
 
 from .dense import dense_from_poly
 from .errors import checkpoint
-from .polys import Poly, _resultant_any, discriminant, divexact, poly_gcd, squarefree_part
+from .polys import Poly, _resultant_any, _subresultant_prs, discriminant, divexact
+from .polys import primitive_part_in, squarefree_part
 from .realroots import AlgebraicNumber, _sign_at, isolate_real_roots, sign_at
 
 __all__ = ["sign_at_point", "roots_above", "Nullified"]
@@ -209,9 +210,11 @@ def _eliminate_coordinate(
 ) -> tuple[Poly, bool]:
     """res_v(defining(alpha), g) with gcd splitting against shared factors.
 
-    Factors of g that vanish on conjugate roots of the defining polynomial are
-    removed from the defining polynomial; a factor vanishing at alpha itself
-    is divided out of g (possible only through conjugate-contaminated
+    Each step runs one subresultant chain: a nonzero resultant is the answer,
+    and a zero one holds the factor w shared with the defining polynomial
+    (see :func:`polys._subresultant_prs`).  A w whose roots are conjugates of
+    alpha is removed from the defining polynomial; a w vanishing at alpha
+    itself is divided out of g (possible only through conjugate-contaminated
     carriers).  The second return value says whether either split happened.
     Without one the result is res_v(defining, g), the same for every root of
     the defining polynomial, so conjugates may share it; after one it depends
@@ -220,30 +223,27 @@ def _eliminate_coordinate(
     """
     if not g.contains_var(v):
         return g, False
-    nv = g.nvars
-    d = Poly.from_dense(nv, v, alpha.coeffs)
+    d = Poly.from_dense(g.nvars, v, alpha.coeffs)
     split = False
     while True:
-        w = poly_gcd(d, g)
-        if w.is_constant():
-            break
+        res, last = _subresultant_prs(d, g, v)
+        if last is None:
+            return res, split
         split = True
+        w = primitive_part_in(last, v).normalized()
         w_dense = dense_from_poly(w, v)
         if (_sign_at(w_dense, alpha.lo) > 0) != (_sign_at(w_dense, alpha.hi) > 0):
             # alpha is a root of the shared factor: g vanishes identically at
             # alpha in the remaining variables; strip the factor and continue
             g = divexact(g, w)
-            if g.is_constant() or not g.contains_var(v):
-                break
+            if not g.contains_var(v):
+                return g, split
             continue
         d = divexact(d, w)
         if d.degree(v) == 0:
             # all of d's roots were shared except none containing alpha: cannot
             # happen for a valid algebraic number
             raise AssertionError("defining polynomial exhausted")
-    if not g.contains_var(v):
-        return g, split
-    return _resultant_any(d, g, v), split
 
 
 def _shared_or_computed(shared: dict, key: tuple, compute: Callable[[], tuple[object, bool]]):

@@ -65,6 +65,9 @@ class Deadline:
 
     @classmethod
     def after_ms(cls, ms: float) -> Deadline:
+        """``ms`` milliseconds from now; a nan budget would never expire, so it is refused."""
+        if not ms >= 0:
+            raise ValueError(f"a time budget must be a non-negative number of ms, got {ms!r}")
         return cls(time.monotonic() + ms / 1000.0)
 
     def check(self) -> None:

@@ -12,11 +12,12 @@ are exponent tuples of length ``nvars``, and the canonical term order is
 graded lexicographic on the exponent tuple.
 
 Besides ring arithmetic this module provides the kernels the projection and
-preconditioning layers consume: pseudo-division, multivariate gcd (primitive
-PRS), resultants via the subresultant PRS, discriminants with a fixed sign
-normalization, square-free primitive bases, and per-variable degree statistics.
-A gcd whose arguments together involve one variable runs on dense integer
-lists, through the integer PRS that root isolation shares
+preconditioning layers consume: pseudo-division, and multivariate gcds,
+resultants and discriminants (with a fixed sign normalization) from one
+subresultant chain, square-free primitive bases, and per-variable degree
+statistics.  A zero resultant leaves the gcd in the chain, so no pair runs two
+chains.  A gcd whose arguments together involve one variable runs on dense
+integer lists instead, through the integer PRS that root isolation shares
 (:mod:`cadlab.dense`); contents reach it through :func:`poly_gcd`, and the
 square-free part of a univariate polynomial calls it directly.  A content
 with a nonzero constant coefficient is 1 without a gcd.
@@ -25,8 +26,8 @@ The square-free primitive basis is certified by the values the projection
 emits: a part's discriminant before its square-free step and a pair's
 resultant before its gcd.  For primitive polynomials a nonzero value proves
 the part square-free or the pair coprime, so that gcd is skipped and the
-value kept for the projection; a zero value takes the gcd split.  The basis
-is the same either way.
+value kept for the projection; a zero value takes the gcd from the chain that
+computed it.  The basis is the same either way.
 
 ``Poly(...)`` is the one public constructor, and it validates every exponent
 tuple and coefficient.  Results built inside this module whose terms are valid
@@ -512,7 +513,7 @@ def prem(p: Poly, q: Poly, v: int) -> Poly:
     return rem
 
 
-# -- multivariate gcd (primitive PRS) ------------------------------------------
+# -- multivariate gcd (contents, then the subresultant chain) ------------------
 
 
 def content_in(p: Poly, v: int) -> Poly:
@@ -548,7 +549,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
     When p and q together involve one variable the gcd runs on primitive
     integer lists; the canonical list (content 1, positive lead) is the
-    normalized gcd.
+    normalized gcd.  Otherwise the gcd of the contents in the top variable
+    multiplies the gcd that the chain of the primitive parts holds, taken in
+    sort-key order so that the stored terms do not depend on argument order.
     """
     if p.is_zero():
         return q.normalized()
@@ -566,28 +569,10 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return poly_gcd(p, content_in(q, v))
     if not q.contains_var(v):
         return poly_gcd(q, content_in(p, v))
-    cp = content_in(p, v)
-    cq = content_in(q, v)
-    a = divexact(p, cp)
-    b = divexact(q, cq)
+    cp, cq = content_in(p, v), content_in(q, v)
     c = poly_gcd(cp, cq)
-    # primitive PRS on the primitive parts
-    if a.degree(v) < b.degree(v):
-        a, b = b, a
-    while True:
-        checkpoint()
-        r = prem(a, b, v)
-        if r.is_zero():
-            g = b
-            break
-        if not r.contains_var(v):
-            g = Poly.one(p.nvars)
-            break
-        a, b = b, primitive_part_in(r, v)
-    if g.is_constant():
-        return c.normalized()
-    g = primitive_part_in(g, v)
-    return (c * g).normalized()
+    _, last = _subresultant_prs(*sorted((divexact(p, cp), divexact(q, cq)), key=_poly_sort_key), v)
+    return (c if last is None else c * primitive_part_in(last, v)).normalized()
 
 
 # -- resultants and discriminants ----------------------------------------------
@@ -613,15 +598,24 @@ def resultant(p: Poly, q: Poly, v: int) -> Poly:
 
 def _resultant_any(p: Poly, q: Poly, v: int) -> Poly:
     """Resultant allowing degree-0 arguments (res(p, c) = c^deg(p))."""
+    return _subresultant_prs(p, q, v)[0]
+
+
+def _subresultant_prs(p: Poly, q: Poly, v: int) -> tuple[Poly, Poly | None]:
+    """res_v(p, q) by the subresultant PRS, and its last nonzero remainder if that is 0.
+
+    For p and q of positive degree in v that remainder has the degree in v of
+    their gcd, and its primitive part in v is the gcd of their primitive parts
+    up to a rational unit (Brown and Traub, JACM 1971).  It is None when the
+    resultant is nonzero or an argument is 0 or free of v.
+    """
     if p.is_zero() or q.is_zero():
-        return Poly.zero(p.nvars)
+        return Poly.zero(p.nvars), None
     dp, dq = p.degree(v), q.degree(v)
-    if dp == 0 and dq == 0:
-        return Poly.one(p.nvars)
     if dq == 0:
-        return q**dp
+        return q**dp, None
     if dp == 0:
-        return p**dq
+        return p**dq, None
     sign = 1
     if dp < dq:
         p, q = q, p
@@ -640,7 +634,7 @@ def _resultant_any(p: Poly, q: Poly, v: int) -> Poly:
         r = prem(a, b, v)
         a = b
         if r.is_zero():
-            return Poly.zero(p.nvars)
+            return Poly.zero(p.nvars), a
         b = divexact(r, g * h**delta)
         g = a.leading_coeff(v)
         h = _pow_div(g, delta, h, delta - 1) if delta >= 1 else h
@@ -648,19 +642,24 @@ def _resultant_any(p: Poly, q: Poly, v: int) -> Poly:
             break
     da = a.degree(v)
     res = _pow_div(b, da, h, da - 1)
-    return res if sign > 0 else -res
+    return (res if sign > 0 else -res), None
 
 
 def discriminant(p: Poly, v: int) -> Poly:
     """disc_v(p) = (-1)^(d(d-1)/2) * res_v(p, dp/dv) / lc_v(p), d = deg_v(p) >= 2."""
+    return _discriminant_prs(p, v)[0]
+
+
+def _discriminant_prs(p: Poly, v: int) -> tuple[Poly, Poly | None]:
+    """disc_v(p), and when it is 0 the last nonzero remainder of the chain of p and dp/dv."""
     d = p.degree(v)
     if d < 2:
         raise ValueError("discriminant requires degree >= 2 in v")
-    res = _resultant_any(p, p.derivative(v), v)
+    res, last = _subresultant_prs(p, p.derivative(v), v)
     disc = divexact(res, p.leading_coeff(v))
     if (d * (d - 1) // 2) % 2 == 1:
         disc = -disc
-    return disc
+    return disc, last
 
 
 def squarefree_part(p: Poly, v: int) -> Poly:
@@ -770,35 +769,33 @@ def _certified_basis(
                 # the dense square-free step is the cheaper certificate
                 p = squarefree_part(p, v).normalized()
             else:
-                d = discriminant(p, v)
-                if d.is_zero():
-                    p = _squarefree_primitive(p, v).normalized()
-                else:
+                d, last = _discriminant_prs(p, v)
+                if last is None:
                     discs[p] = d
+                else:
+                    # p / gcd(p, p'), the gcd taken from the chain that made d 0
+                    p = divexact(p, primitive_part_in(last, v)).normalized()
         parts.append(p)
     basis: list[Poly] = []
     ress: dict[tuple[Poly, Poly], Poly] = {}
     queue = list(dict.fromkeys(parts))
     while queue:
         p = queue.pop(0)
-        if p.is_constant():
-            continue
-        i = 0
-        while i < len(basis) and not p.is_constant():
-            b = basis[i]
+        for i, b in enumerate(basis):
+            if p.is_constant():
+                break
             pair = (p, b) if _poly_sort_key(p) <= _poly_sort_key(b) else (b, p)
-            r = resultant(*pair, v)
-            if not r.is_zero():
+            r, last = _subresultant_prs(*pair, v)
+            if last is None:
                 ress[pair] = r
-                i += 1
                 continue
-            g = poly_gcd(p, b)
-            if g.is_constant():
-                i += 1
-                continue
+            # poly_gcd(p, b) runs this same chain when v is the pair's top
+            # variable and the pair is not univariate: take the gcd from it
+            vs = p.variables() + b.variables()
+            g = (primitive_part_in(last, v).normalized() if min(vs) < v == max(vs)
+                 else poly_gcd(p, b))
             if g == b:
                 p = divexact(p, b).normalized()
-                i += 1
                 continue
             # split b into g and b/g; both stay square-free and coprime to the rest
             basis[i] = g
@@ -806,7 +803,6 @@ def _certified_basis(
             if not rest.is_constant():
                 queue.append(rest)
             p = divexact(p, g).normalized()
-            i += 1
         if not p.is_constant():
             basis.append(p)
     basis.sort(key=_poly_sort_key)

@@ -14,10 +14,10 @@ level k: callers relabel their inputs by the ordering first
 
 Each subresultant chain runs once.  Building the basis asks each part's
 discriminant and each pair's resultant first, and a nonzero answer stands in
-for the gcd that would prove the part square-free or the pair coprime
-(``polys._certified_basis``).  The full operator emits those kept values and
-computes only the discriminants and resultants of elements that a gcd split
-produced.
+for the gcd that would prove the part square-free or the pair coprime, while
+a zero one holds the gcd to split by (``polys._certified_basis``).  The full
+operator emits those kept values and computes only the discriminants and
+resultants of elements that a gcd split produced.
 """
 
 from __future__ import annotations

@@ -216,6 +216,45 @@ def eliminations(monkeypatch):
     return calls
 
 
+class TestOneChainPerElimination:
+    """_eliminate_coordinate runs no gcd in the eliminated variable: the
+    resultant's own chain holds any factor shared with the defining polynomial."""
+
+    @pytest.fixture
+    def gcds_in_x0(self, monkeypatch):
+        from cadlab import algpoints, polys
+
+        calls = []
+        inner = polys.poly_gcd
+
+        def recording(p, q):
+            calls.append((p, q))
+            return inner(p, q)
+
+        monkeypatch.setattr(polys, "poly_gcd", recording)
+        monkeypatch.setattr(algpoints, "poly_gcd", recording, raising=False)
+        return lambda: [c for c in calls if any(p.contains_var(0) for p in c)]
+
+    def test_coprime_carrier(self, gcds_in_x0):
+        from cadlab.algpoints import _eliminate_coordinate, _resultant_any
+
+        g = Poly(3, {(0, 0, 1): 1, (2, 0, 0): -1, (1, 1, 0): -1})  # z - x0^2 - x0*x1
+        res, split = _eliminate_coordinate(g, 0, SQRT2)
+        assert not split and gcds_in_x0() == []
+        assert res == _resultant_any(Poly.from_dense(3, 0, SQRT2.coeffs), g, 0)
+
+    def test_split_elimination(self, gcds_in_x0):
+        from cadlab.algpoints import _eliminate_coordinate
+
+        # the case of TestConjugateSharing::test_split_elimination_is_computed_again:
+        # -sqrt3 as a root of (x0^2 - 2)(x0^2 - 3) against (x0^2 - 2)(x1 - 1)
+        alpha = AlgebraicNumber((6, 0, -5, 0, 1), F(-2), F(-3, 2))
+        res, split = _eliminate_coordinate((X * X - ONE * 2) * (Y - ONE), 0, alpha)
+        assert split and gcds_in_x0() == []
+        # x0^2 - 2 is split off the defining polynomial: res(x0^2 - 3, ...)
+        assert res == ((Y - ONE) ** 2)
+
+
 class TestConjugateSharing:
     def test_conjugate_base_cells_eliminate_once(self, eliminations):
         from cadlab.cadbuild import build_cad

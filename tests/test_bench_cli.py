@@ -68,6 +68,13 @@ class TestBench:
         (row,) = report.rows
         assert row.status == "timeout"
 
+    def test_nan_timeout_is_refused_instead_of_running_unbounded(self, tmp_path):
+        work = tmp_path / "corpus"
+        work.mkdir()
+        shutil.copy(CORPUS / "two_circles.json", work)
+        with pytest.raises(ValueError, match="non-negative"):
+            run_bench(work, BenchConfig(heuristics=("sotd",), timeout_ms=float("nan")))
+
     def test_malformed_file_isolated(self, tmp_path):
         work = tmp_path / "corpus"
         work.mkdir()

@@ -62,6 +62,19 @@ class TestDeadlineContract:
     def test_no_deadline_runs_to_completion(self, name):
         assert ENTRY_POINTS[name](None) == ENTRY_POINTS[name](Deadline.after_ms(60_000))
 
+    @pytest.mark.parametrize("ms", [float("nan"), -1, -0.5])
+    def test_a_nan_or_negative_budget_is_refused(self, ms):
+        # nan compares false with every time, so its deadline would never expire
+        with pytest.raises(ValueError, match="non-negative"):
+            Deadline.after_ms(ms)
+
+    def test_a_zero_budget_is_spent_and_a_past_deadline_is_expired(self):
+        zero = Deadline.after_ms(0)
+        time.sleep(0.001)
+        for deadline in (zero, Deadline(time.monotonic() - 1.0)):
+            with pytest.raises(ComputeTimeout):
+                deadline.check()
+
 
 
 class TestCanonicalKey:

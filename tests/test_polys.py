@@ -259,7 +259,7 @@ class TestUnivariateGcdPins:
         assert _typed(content_in(q, 1)) == _ints({(0, 0): 1, (1, 0): 1})
 
 
-@pytest.mark.parametrize("nvars", [1, 2])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
 def test_gcd_sympy_oracle_seeded(nvars):
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols(f"x0:{nvars}")
@@ -286,6 +286,52 @@ def test_gcd_sympy_oracle_seeded(nvars):
         assert ours == from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).normalized(), (p, q)
         assert not divexact(p, ours).is_zero() and not divexact(q, ours).is_zero()
         done += 1
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_gcd_sympy_oracle_contents_and_equal_degrees(nvars):
+    """Planted gcds with a nonconstant content in the top variable, and pairs
+    of equal degree in it, against sympy in both argument orders."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{nvars}")
+    v = nvars - 1
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+                    for exps, c in p.terms.items()), sympy.Integer(0))
+
+    def from_sympy(expr):
+        return Poly(nvars, {exps: Fraction(int(c.p), int(c.q))
+                            for exps, c in sympy.Poly(expr, *xs).terms()})
+
+    def in_v(deg):
+        # degree deg in v; x0 or a constant in every coefficient
+        while True:
+            p = Poly(nvars, {tuple(rng.randint(0, 1) if i != v else k for i in range(nvars)):
+                             rng.choice([-3, -2, -1, 1, 2, 3]) for k in range(deg + 1)})
+            if p.degree(v) == deg:
+                return p
+
+    rng = random.Random(4040 + nvars)
+    x0, one = Poly.var(nvars, 0), Poly.one(nvars)
+    contents = equal = 0
+    for _ in range(30):
+        f = in_v(rng.randint(1, 2))
+        da = rng.randint(0, 2)
+        a, b = in_v(da), in_v(da if rng.random() < 0.7 else rng.randint(0, 2))
+        # a content in v shared by both sides, and one on a single side
+        shared = x0 + one * rng.choice([-2, -1, 1, 3])
+        p = a * f * shared * Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3))
+        q = b * f * (shared if rng.random() < 0.5 else shared * (x0 - one * 5))
+        contents += not content_in(p, v).is_constant()
+        equal += p.degree(v) == q.degree(v)
+        expected = from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).normalized()
+        for args in ((p, q), (q, p)):
+            ours = poly_gcd(*args)
+            assert ours == expected, args
+            assert not divexact(p, ours).is_zero() and not divexact(q, ours).is_zero()
+    assert contents >= 20 and equal >= 15
 
 
 class TestBasis:

@@ -296,6 +296,42 @@ class TestProjectionOracle:
         assert _typed_terms(out) == _typed_terms(_reference_project(A, v))
 
 
+class TestZeroCertificates:
+    """A zero discriminant or resultant hands the gcd its chain holds to the split."""
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    @pytest.mark.parametrize("kind", ["square", "shared_factor"])
+    def test_zero_certificate_runs_no_second_chain(self, monkeypatch, nvars, kind):
+        from cadlab import polys
+
+        calls, zeros = [], []
+        gcd, squarefree, chain = polys.poly_gcd, polys._squarefree_primitive, polys._subresultant_prs
+
+        def counting_chain(p, q, w):
+            res, last = chain(p, q, w)
+            # a zero certificate on a multivariate part or pair
+            zeros.append(last is not None and w == v and p.variables() + q.variables() != (v, v))
+            return res, last
+
+        rng = random.Random(f"zero-certificates-{nvars}-{kind}")
+        v = nvars - 1  # the projection eliminates the top variable
+        for _ in range(12 if nvars == 2 else 6):
+            A = _planted_set(rng, nvars, v, kind)
+            ref_basis, ref_contents = _reference_basis(A, v)
+            with monkeypatch.context() as m:
+                m.setattr(polys, "_subresultant_prs", counting_chain)
+                m.setattr(polys, "poly_gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+                m.setattr(polys, "_squarefree_primitive",
+                          lambda p, w: calls.append((p,)) or squarefree(p, w))
+                basis, contents = squarefree_primitive_basis(A, v)
+            assert _typed_terms(basis) == _typed_terms(ref_basis), (A, v)
+            assert _typed_terms(contents) == _typed_terms(ref_contents), (A, v)
+        # gcds of coefficients (free of v) still run, and univariate pairs take
+        # the dense gcd; no gcd in v runs on a multivariate part or pair
+        assert [c for c in calls if any(p.contains_var(v) and p.variables() != (v,) for p in c)] == []
+        assert sum(zeros) >= 3
+
+
 class TestLevels:
     def test_circle_levels(self):
         levels = projection_levels([CIRCLE], 2)
