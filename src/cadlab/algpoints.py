@@ -43,10 +43,18 @@ primitives drive the lifting phase:
   root, so the next conjugate computes its own.  The coefficient signs, true
   degree, discriminant sign, endpoint signs and exact zero tests are signs at
   the sample and run for every base cell.
+
+At a sample whose coordinates are all rational, both primitives evaluate in
+integers: each coordinate is a (num, den) pair, and one homogeneous
+evaluation with a power table per variable gives p times one positive scale,
+a number for a sign and an integer list in v for the roots above (handed to
+:func:`realroots.isolate_real_roots` as it is).  No ``Poly.substitute`` and
+no ``Fraction`` arithmetic runs there.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
@@ -55,14 +63,14 @@ from .dense import dense_from_poly
 from .errors import checkpoint
 from .polys import Poly, _resultant_any, _subresultant_prs, discriminant, divexact
 from .polys import primitive_part_in, squarefree_part
-from .realroots import AlgebraicNumber, _sign_at, isolate_real_roots, sign_at
+from .realroots import AlgebraicNumber, _num_den, _sign_at, isolate_real_roots, sign_at
 
 __all__ = ["sign_at_point", "roots_above", "Nullified"]
 
 # coordinate k -> E_k(x_0..x_k), or None where the sample has no tower polynomial
 Tower = Callable[[int], Poly | None]
 
-_REFINE_ROUNDS_BEFORE_EXACT = 24
+_REFINE_ROUNDS_BEFORE_EXACT = 12
 # with the root gap known, one of the loop's exits fires long before this
 _MAX_ROUNDS = 4096
 
@@ -84,6 +92,43 @@ def _split_coords(
     return rational, algebraic
 
 
+def _rational_pairs(point: Sequence[AlgebraicNumber]) -> list[tuple[int, int]] | None:
+    """Each coordinate's (num, den), den > 0, when every one is rational; else None."""
+    if not all(a.is_rational for a in point):
+        return None
+    return [_num_den(a.coeffs) for a in point]
+
+
+def _at_pairs(p: Poly, pairs: Sequence[tuple[int, int]]) -> dict[tuple[int, ...], int]:
+    """p at x_i = num_i/den_i for the first len(pairs) variables, times a positive scale.
+
+    One homogeneous integer evaluation: the scale is the lcm of the
+    coefficients' denominators times den_i**deg_i(p) for each i, so the term
+    c * prod x_i**e_i becomes an integer from one power table per variable.
+    The result maps the remaining variables' exponent tuples to their
+    integer coefficients, zeros included.
+    """
+    k = len(pairs)
+    terms = p.terms
+    cden = math.lcm(*(c.denominator for c in terms.values()))
+    tables = []
+    for (num, den), exps in zip(pairs, zip(*terms)):
+        top = max(exps)
+        # table[e] = num**e * den**(top - e)
+        table = [num**e for e in range(top + 1)]
+        if den != 1:
+            table = [x * den ** (top - e) for e, x in enumerate(table)]
+        tables.append(table)
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in terms.items():
+        t = c.numerator * (cden // c.denominator)
+        for table, x in zip(tables, e):
+            t *= table[x]
+        rest = e[k:]
+        out[rest] = out.get(rest, 0) + t
+    return out
+
+
 def sign_at_point(
     p: Poly, point: Sequence[AlgebraicNumber], tower: Tower | None = None
 ) -> int:
@@ -91,11 +136,17 @@ def sign_at_point(
 
     ``tower(k)`` is None or a polynomial E_k in x_0..x_k that vanishes at
     point[:k+1] and whose leading coefficient in x_k is nonzero at
-    point[:k]; the zero certificate eliminates x_k against it.
+    point[:k]; the zero certificate eliminates x_k against it.  At a sample
+    whose coordinates are all rational the sign is that of one integer
+    evaluation (see :func:`_at_pairs`).
     """
     if any(p.contains_var(v) for v in range(len(point), p.nvars)):
         raise ValueError("polynomial has a variable beyond the sample point")
-    return _refined_sign(p, point, tower=tower)
+    pairs = _rational_pairs(point)
+    if pairs is None:
+        return _refined_sign(p, point, tower=tower)
+    val = sum(_at_pairs(p, pairs).values())
+    return (val > 0) - (val < 0)
 
 
 def _refined_sign(
@@ -267,6 +318,9 @@ def roots_above(
     the module docstring); callers lifting one level pass the same dict for
     every base cell.
     """
+    pairs = _rational_pairs(point)
+    if pairs is not None:
+        return _roots_at_pairs(p, pairs, v)
     if shared is None:
         shared = {}
     rational, algebraic = _split_coords(point)
@@ -341,6 +395,33 @@ def roots_above(
             if s1 != s2:  # pragma: no cover - pathological, abort loudly
                 raise AssertionError("section root missed between candidates")
     return out
+
+
+def _roots_at_pairs(p: Poly, pairs: Sequence[tuple[int, int]], v: int) -> list[AlgebraicNumber]:
+    """:func:`roots_above` at a sample whose coordinates are the rationals ``pairs``.
+
+    The integer list of p(point, v) goes to root isolation as it is, which
+    divides out gcd(q, q') itself.
+    """
+    j = v - len(pairs)
+    by_power: dict[int, int] = {}
+    other = False  # a variable besides v survives
+    for e, c in _at_pairs(p, pairs).items():
+        if c:
+            other = other or any(e[:j]) or any(e[j + 1:])
+            # two keys share a power of v only when another variable survives
+            by_power[e[j]] = c
+    if not by_power:
+        raise Nullified()
+    top = max(by_power)
+    if top == 0:
+        return []
+    if other:
+        raise ValueError("not univariate")
+    dense = [0] * (top + 1)
+    for k, c in by_power.items():
+        dense[k] = c
+    return list(isolate_real_roots(dense))
 
 
 def _substitution_squarefree(

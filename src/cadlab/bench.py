@@ -3,14 +3,15 @@
 Each (problem x configuration) task runs under an optional cooperative
 deadline; failures are recorded per row and never abort the run.  Rows are
 sorted after execution, so reports are byte-deterministic for a fixed corpus
-and seed regardless of the worker count (timing columns are blanked by the
-``stable`` flag).
+regardless of the worker count and of the seed, which only shuffles the order
+the tasks run in (timing columns are blanked by the ``stable`` flag).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -177,6 +178,9 @@ def run_bench(corpus: Path | str, config: BenchConfig) -> BenchReport:
                 tasks.append(lambda p=problem, o=ordering: _run_task(p, config, "order", o))
         for heuristic in config.heuristics:
             tasks.append(lambda p=problem, h=heuristic: _run_task(p, config, h))
+    if config.seed is not None:
+        # a seed permutes the run order only: the rows are sorted below
+        random.Random(config.seed).shuffle(tasks)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             report.rows.extend(pool.map(lambda t: t(), tasks))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
 
-from .algpoints import Nullified, roots_above, sign_at_point
+from .algpoints import Nullified, _roots_at_pairs, roots_above, sign_at_point
 from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
 from .formulas import (
     Formula,
@@ -32,7 +32,7 @@ from .formulas import (
 from .ordering import VarOrdering
 from .polys import Poly, distinct_normalized
 from .projection import ProjectionLevels, projection_levels
-from .realroots import AlgebraicNumber, _merge_roots, isolate_real_roots, merge_distinct
+from .realroots import AlgebraicNumber, _merge_roots, _midpoint, merge_distinct
 
 __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_fulldim",
            "evaluate_formula_on_cells"]
@@ -76,7 +76,7 @@ def sector_points(roots: Sequence[AlgebraicNumber]) -> list[Fraction]:
         return [Fraction(0)]
     out = [Fraction(math.floor(roots[0].lo))]
     for a, b in zip(roots, roots[1:]):
-        out.append((a.hi + b.lo) / 2)
+        out.append(_midpoint(a.hi, b.lo))
     out.append(Fraction(math.ceil(roots[-1].hi)))
     return out
 
@@ -370,13 +370,13 @@ def open_cad_fulldim(A: Iterable[Poly], ordering: VarOrdering) -> int:
         next_samples: list[tuple[Fraction, ...]] = []
         for s in samples:
             checkpoint()
-            assign = dict(enumerate(s))
+            pairs = [(x.numerator, x.denominator) for x in s]
             roots = []
             for p in polys_k:
-                q = p.substitute(assign) if assign else p
-                if q.is_zero() or not q.contains_var(v):
+                try:
+                    roots.extend(_roots_at_pairs(p, pairs, v))
+                except Nullified:
                     continue
-                roots.extend(isolate_real_roots(q, v))
             merged = merge_distinct(roots)
             for point in sector_points(merged):
                 next_samples.append(s + (point,))

@@ -10,7 +10,9 @@ Root sets are plain tuples, strictly increasing with pairwise-disjoint
 intervals.  :func:`isolate_real_roots`, :func:`merge_distinct` and the
 lifting stacks all go through one pass, ``_merge_roots``, that sorts by
 :func:`compare`, merges equal roots (keeping a rational encoding) and refines
-neighbours apart.
+neighbours apart.  Two rational encodings compare by cross-multiplying; an
+all-rational set sorts by its values over one common denominator, and two
+rational neighbours jump to the interval the halving rounds would reach.
 
 Inside this module a univariate polynomial is a dense list of ``int``
 coefficients, low to high, with content 1 (a positive rational multiple of the
@@ -18,8 +20,12 @@ polynomial it stands for, so roots and signs are unchanged).  The list helpers
 (``dense_from_poly``, ``_primitive``, ``_canonical``, the integer PRS
 ``_uni_gcd``, ``_div_exact``) live in :mod:`cadlab.dense`, which ``polys``
 shares for its univariate gcds.  Rationals enter once, at ``dense_from_poly``
-and the sequence inputs of :func:`isolate_real_roots` and :func:`sign_at`;
-interval endpoints and sample values are ``Fraction``.  Nothing here floats.
+and the sequence inputs of :func:`isolate_real_roots` and :func:`sign_at`.
+Interval endpoints and sample values are ``Fraction``, but every midpoint,
+refined rational interval and ``from_rational`` endpoint is built from
+integer numerators and denominators with one normalization, not from a chain
+of ``Fraction`` operations.  A linear input within the rational-root search's
+cap is solved at once.  Nothing here floats.
 """
 
 from __future__ import annotations
@@ -200,8 +206,11 @@ class AlgebraicNumber:
 
     @classmethod
     def from_rational(cls, q) -> AlgebraicNumber:
-        q = Fraction(q)
-        return cls((-q.numerator, q.denominator), q - 1, q + 1)
+        """q (an ``int`` or ``Fraction``; anything else raises the TypeError
+        that ``Poly(...)`` raises) in the interval (q - 1, q + 1)."""
+        q = _as_coeff(q)
+        num, den = q.numerator, q.denominator
+        return cls((-num, den), Fraction(num - den, den), Fraction(num + den, den))
 
     @property
     def is_rational(self) -> bool:
@@ -219,14 +228,11 @@ class AlgebraicNumber:
     def refine_step(self) -> AlgebraicNumber:
         """Halve the isolating interval (exact bisection on the defining poly)."""
         if self.is_rational:
-            q = self.rational_value
-            w = self.width() / 4
-            return AlgebraicNumber(self.coeffs, q - w, q + w)
-        mid = (self.lo + self.hi) / 2
+            return _centred(self.coeffs, self, 1)
+        mid = _midpoint(self.lo, self.hi)
         sm = _sign_at(self.coeffs, mid)
         if sm == 0:
-            w = min(mid - self.lo, self.hi - mid) / 2
-            return AlgebraicNumber((-mid.numerator, mid.denominator), mid - w, mid + w)
+            return _centred((-mid.numerator, mid.denominator), self, 1)
         if (sm > 0) == (_sign_at(self.coeffs, self.lo) > 0):
             return AlgebraicNumber(self.coeffs, mid, self.hi)
         return AlgebraicNumber(self.coeffs, self.lo, mid)
@@ -249,6 +255,33 @@ class AlgebraicNumber:
         if self.is_rational:
             return f"AlgebraicNumber({self.rational_value})"
         return f"AlgebraicNumber(~{self.approx():.6g})"
+
+
+def _num_den(coeffs: tuple[int, ...]) -> tuple[int, int]:
+    """(num, den), den > 0, with num/den the root of a rational encoding
+    den*v - num; the pair is in lowest terms when the encoding is."""
+    c0, c1 = coeffs
+    return (-c0, c1) if c1 > 0 else (c0, -c1)
+
+
+def _midpoint(a: Fraction, b: Fraction) -> Fraction:
+    """(a + b) / 2 from the endpoints' integers, normalized once."""
+    return Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
+                    2 * a.denominator * b.denominator)
+
+
+def _centred(coeffs: tuple[int, ...], a: AlgebraicNumber, steps: int) -> AlgebraicNumber:
+    """The root q of the linear ``coeffs`` in (q - h, q + h), h = w / 2**(steps + 1)
+    for w the width of a's interval: where ``steps`` calls of ``refine_step``
+    on a rational encoding of q in a's interval end."""
+    num, den = _num_den(coeffs)
+    lo, hi = a.lo, a.hi
+    # w = wn / wd, and h = wn / scale
+    wd = lo.denominator * hi.denominator
+    wn = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    scale = wd << (steps + 1)
+    return AlgebraicNumber(coeffs, Fraction(num * scale - den * wn, den * scale),
+                           Fraction(num * scale + den * wn, den * scale))
 
 
 def refine(a: AlgebraicNumber, width) -> AlgebraicNumber:
@@ -325,7 +358,8 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
     certifies equality without algebraic-number arithmetic.
     """
     if a.is_rational and b.is_rational:
-        x, y = a.rational_value, b.rational_value
+        (an, ad), (bn, bd) = _num_den(a.coeffs), _num_den(b.coeffs)
+        x, y = an * bd, bn * ad
         return (x > y) - (x < y)
     if a.hi <= b.lo:
         return -1
@@ -375,6 +409,9 @@ def isolate_real_roots(
     if len(c) == 1:
         return ()
     c = _canonical(c)
+    if len(c) == 2 and max(-c[0], c[0], c[1]) <= _TRIAL_CAP * _TRIAL_CAP:
+        # the divisor search would find exactly this root
+        return (AlgebraicNumber.from_rational(Fraction(-c[0], c[1])),)
     g = _uni_gcd(c, _deriv(c))
     if len(g) > 1:
         c = _div_exact(c, g)
@@ -395,7 +432,7 @@ def isolate_real_roots(
                 # bisection endpoints are never roots of the working poly
                 found.append(AlgebraicNumber(tuple(poly), a, b))
                 continue
-            m = (a + b) / 2
+            m = _midpoint(a, b)
             if _sign_at(poly, m) == 0:
                 # exact rational root hit mid-bisection; divide it out
                 found.append(AlgebraicNumber.from_rational(m))
@@ -418,12 +455,22 @@ def _merge_roots(
     Takes (root, tag) pairs and returns the distinct roots, strictly
     increasing with pairwise-disjoint intervals, plus the set of tags of each.
     Equal roots keep the first rational encoding among them, else the first
-    one, in input order.
+    one, in input order.  An all-rational set sorts by its values over one
+    common denominator, and two rational neighbours are separated by the
+    number of halvings that ``refine_step`` rounds would take.
     """
-    by_value = cmp_to_key(compare)
+    tagged = list(tagged)
+    if all(r.is_rational for r, _ in tagged):
+        pairs = [_num_den(r.coeffs) for r, _ in tagged]
+        den = math.lcm(*(d for _, d in pairs))
+        values = [n * (den // d) for n, d in pairs]
+        order = sorted(range(len(tagged)), key=values.__getitem__)
+    else:
+        by_value = cmp_to_key(compare)
+        order = sorted(range(len(tagged)), key=lambda i: by_value(tagged[i][0]))
     roots: list[AlgebraicNumber] = []
     tags: list[set] = []
-    for r, tag in sorted(tagged, key=lambda rt: by_value(rt[0])):
+    for r, tag in (tagged[i] for i in order):
         if roots and compare(roots[-1], r) == 0:
             tags[-1].add(tag)
             if r.is_rational and not roots[-1].is_rational:
@@ -433,10 +480,30 @@ def _merge_roots(
         tags.append({tag})
     # refine neighbours until their intervals are disjoint
     for i in range(len(roots) - 1):
+        a, b = roots[i], roots[i + 1]
+        if a.hi > b.lo and a.is_rational and b.is_rational:
+            roots[i], roots[i + 1] = _separated(a, b)
+            continue
         while roots[i].hi > roots[i + 1].lo:
             roots[i] = roots[i].refine_step()
             roots[i + 1] = roots[i + 1].refine_step()
     return tuple(roots), tags
+
+
+def _separated(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[AlgebraicNumber, AlgebraicNumber]:
+    """Rational a < b with overlapping intervals, after the fewest common
+    ``refine_step`` rounds that make them disjoint.
+
+    After k >= 1 rounds each sits centred on its value q with half its width
+    w over 2**(k+1), so the rounds end at the least such k with
+    (w_a + w_b) / (q_b - q_a) <= 2**(k+1).
+    """
+    (an, ad), (bn, bd) = _num_den(a.coeffs), _num_den(b.coeffs)
+    ratio = (a.width() + b.width()) / Fraction(bn * ad - an * bd, ad * bd)
+    k = 1
+    while ratio > 2 << k:
+        k += 1
+    return _centred(a.coeffs, a, k), _centred(b.coeffs, b, k)
 
 
 def count_distinct_real_roots(A: Iterable[Poly], v: int | None = None) -> int:

@@ -299,3 +299,166 @@ class TestConjugateSharing:
         assert roots_above(p, (neg_sqrt2,), 1, shared) == []
         assert len(roots_above(p, (SQRT2,), 1, shared)) == 2
         assert len(eliminations) == 1
+
+
+def _rational_encoding(rng, q):
+    """q as a rational AlgebraicNumber whose linear encoding may have a
+    negative lead or a common factor."""
+    k = rng.choice([1, 1, 2, 3]) * rng.choice([1, -1])
+    return AlgebraicNumber((-k * q.numerator, k * q.denominator), q - 1, q + 1)
+
+
+def _random_poly(rng, nvars, top):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = tuple(rng.randint(0, top) for _ in range(nvars))
+        terms[e] = F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+    return Poly(nvars, terms)
+
+
+def _by_rest(terms, k):
+    """The terms of a polynomial free of x_0..x_{k-1}, keyed by the other exponents."""
+    return {e[k:]: c for e, c in terms.items()}
+
+
+class TestIntegerEvaluationOracle:
+    """_at_pairs against Poly.evaluate and Poly.substitute, and roots_above
+    and sign_at_point at all-rational samples against isolation of the
+    substituted polynomial."""
+
+    def test_seeded_against_substitution(self):
+        import random
+
+        from cadlab.algpoints import _at_pairs, _rational_pairs
+        from cadlab.dense import dense_from_poly
+        from cadlab.realroots import isolate_real_roots
+
+        rng = random.Random(1807)
+        outcomes = set()
+        for _ in range(300):
+            k = rng.randint(0, 2)
+            n = k + 2  # the lift variable x_k and one variable x_{k+1} beyond it
+            values = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)]
+            point = tuple(_rational_encoding(rng, q) for q in values)
+            assign = dict(enumerate(values))
+            one = Poly.one(n)
+            p = Poly(n, {e + (0,): c for e, c in _random_poly(rng, n - 1, 3).terms.items()})
+            cancelled = False
+            if k and rng.random() < 0.3:
+                # a factor vanishing at the sample: nullification
+                p = p * (Poly.var(n, 0) - one * values[0])
+            if k and rng.random() < 0.3:
+                # terms in x_{k+1} that vanish at the sample
+                vanishing = Poly.var(n, n - 1) * (Poly.var(n, k - 1) - one * values[k - 1])
+                p = p + vanishing * _random_poly(rng, n, 1)
+                cancelled = True
+            if k and rng.random() < 0.1:
+                p = p + Poly.var(n, n - 1)  # x_{k+1} stays live
+            pairs = _rational_pairs(point)
+            assert all(d > 0 and num * q.denominator == q.numerator * d
+                       for (num, d), q in zip(pairs, values))
+            sub = p.substitute(assign)
+            got = _at_pairs(p, pairs)
+            want = _by_rest(sub.terms, k)
+            assert {e for e, c in got.items() if c} == set(want)
+            # one positive scale for every coefficient
+            ratios = {c / want[e] for e, c in got.items() if c}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+            # the terms in the point's variables alone: the sign Poly.evaluate gives
+            low = Poly(n, {e: c for e, c in p.terms.items() if not any(e[k:])})
+            value = low.evaluate(assign)
+            assert sign_at_point(low, point) == (value > 0) - (value < 0)
+            # the roots above, as isolation of the substituted polynomial gives them
+            if sub.is_zero():
+                outcomes.add("nullified")
+                with pytest.raises(Nullified):
+                    roots_above(p, point, k)
+            elif not sub.contains_var(k):
+                outcomes.add("free of x_k")
+                assert roots_above(p, point, k) == []
+            elif sub.contains_var(n - 1):
+                outcomes.add("x_{k+1} live")
+                with pytest.raises(ValueError):
+                    roots_above(p, point, k)
+            else:
+                outcomes.add("x_{k+1} cancelled" if cancelled else "roots")
+                dense = [got.get((i, 0), 0) for i in range(sub.degree(k) + 1)]
+                ref = dense_from_poly(sub, k)
+                assert all(a * ref[-1] == b * dense[-1] for a, b in zip(dense, ref))
+                assert dense[-1] * ref[-1] > 0
+                assert _exact(roots_above(p, point, k)) == _exact(isolate_real_roots(sub, k))
+        assert outcomes == {"nullified", "free of x_k", "x_{k+1} live", "x_{k+1} cancelled",
+                            "roots"}
+
+    def test_negative_lead_encoding(self):
+        # (1, -2) encodes -2*v + 1 = 0, that is v = 1/2, where x is positive
+        half = AlgebraicNumber((1, -2), F(0), F(1))
+        x = Poly.var(1, 0)
+        assert sign_at_point(x, (half,)) == 1
+        assert sign_at_point(x * 2 - Poly.one(1), (half,)) == 0
+        assert [r.rational_value for r in roots_above(Poly.var(2, 1) - Poly.var(2, 0), (half,), 1)] \
+            == [F(1, 2)]
+
+    def test_a_variable_beyond_the_lift_that_vanishes_at_the_sample(self):
+        # (x0 - 1)*x2 + x1 over x0 = 1 is x1: its root 0, as substitution gives it
+        p = Poly(3, {(1, 0, 1): 1, (0, 0, 1): -1, (0, 1, 0): 1})
+        assert _exact(roots_above(p, (rat(1),), 1)) == [((0, 1), F(-1), F(1))]
+
+
+class TestWorkAtRationalSamples:
+    @pytest.fixture
+    def substitutions(self, monkeypatch):
+        calls = []
+        inner = Poly.substitute
+
+        def counting(self, assign):
+            calls.append(assign)
+            return inner(self, assign)
+
+        monkeypatch.setattr(Poly, "substitute", counting)
+        return calls
+
+    def test_no_substitution_at_an_all_rational_sample(self, substitutions):
+        circle = Poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1})
+        point = (rat(F(1, 3)), rat(F(-1, 2)))
+        assert sign_at_point(circle, (*point, rat(0))) == -1
+        assert len(roots_above(circle, point, 2)) == 2
+        assert substitutions == []
+
+    def test_rational_neighbours_separate_without_refine_steps(self, monkeypatch):
+        from cadlab import realroots
+
+        a, b = rat(F(-1, 10)), rat(F(1, 10))
+        # what the halving rounds give: both refined until disjoint
+        x, y = a, b
+        while x.hi > y.lo:
+            x, y = x.refine_step(), y.refine_step()
+        steps = []
+        inner = AlgebraicNumber.refine_step
+        monkeypatch.setattr(AlgebraicNumber, "refine_step",
+                            lambda self: steps.append(self) or inner(self))
+        roots, tags = realroots._merge_roots([(b, "b"), (a, "a")])
+        assert steps == []
+        assert _exact(roots) == _exact([x, y])
+        assert tags == [{"a"}, {"b"}]
+
+    def test_zero_certificate_after_thirteen_enclosures(self, monkeypatch):
+        from cadlab import algpoints
+
+        enclosures = []
+        carriers = []
+        inner_eval, inner_carrier = Poly.interval_eval, algpoints._carrier
+
+        def counting_eval(self, box):
+            enclosures.append(box)
+            return inner_eval(self, box)
+
+        def counting_carrier(*args, **kwargs):
+            carriers.append(len(enclosures))
+            return inner_carrier(*args, **kwargs)
+
+        monkeypatch.setattr(Poly, "interval_eval", counting_eval)
+        monkeypatch.setattr(algpoints, "_carrier", counting_carrier)
+        # x^2 y^2 - 6 vanishes at (sqrt2, sqrt3): no enclosure decides it
+        assert sign_at_point(Poly(2, {(2, 2): 1, (0, 0): -6}), (SQRT2, SQRT3)) == 0
+        assert carriers == [13]

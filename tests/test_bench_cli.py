@@ -102,6 +102,34 @@ class TestBench:
         assert a == b == c
         assert "time_ms" in a.splitlines()[0]
 
+    def test_a_seed_shuffles_the_run_order_only(self, tmp_path, monkeypatch):
+        from cadlab import bench
+
+        work = tmp_path / "corpus"
+        work.mkdir()
+        for name in ("circle.json", "two_circles.json", "blowup.json"):
+            shutil.copy(CORPUS / name, work)
+        order = []
+        inner = bench._run_task
+
+        def recording(problem, config, heuristic, ordering=None):
+            order.append((problem.name, heuristic))
+            return inner(problem, config, heuristic, ordering)
+
+        monkeypatch.setattr(bench, "_run_task", recording)
+        texts, orders = [], []
+        for seed in (1, 2, None):
+            order.clear()
+            buf = io.StringIO()
+            write_csv(run_bench(work, BenchConfig(jobs=1, seed=seed, stable=True)), buf)
+            texts.append(buf.getvalue())
+            orders.append(list(order))
+        assert texts[0] == texts[1] == texts[2]
+        assert orders[0] != orders[1]
+        assert sorted(orders[0]) == sorted(orders[1]) == sorted(orders[2])
+        # without a seed the tasks run in file order
+        assert orders[2] == sorted(orders[2], key=lambda t: t[0])
+
     def test_error_rows_carry_their_cause_in_json_only(self, tmp_path):
         work = tmp_path / "corpus"
         work.mkdir()

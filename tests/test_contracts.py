@@ -205,6 +205,19 @@ class TestPublicConstructorValidates:
             Poly(2, {(1, -1): 1})
 
 
+# Fraction's private slots and constructors differ between the Python
+# versions CI runs (3.10 and 3.13)
+PRIVATE_FRACTION_API = {"_numerator", "_denominator", "_from_coprime_ints"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_fraction_api(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+               and isinstance(n.value, str)}
+    assert PRIVATE_FRACTION_API & (set(_names(tree)) | strings) == set()
+
+
 # module-level containers that hold constants, never results
 CONSTANT_CONTAINERS = {
     ("formulas", "_NEGATED"), ("formulas", "_FLIPPED"),

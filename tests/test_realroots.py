@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from cadlab.dense import _div_exact
 from cadlab.realroots import (
     _TRIAL_CAP,
     AlgebraicNumber,
+    _merge_roots,
     _rational_roots,
     _sign_at,
     _small_divisors,
@@ -104,6 +107,70 @@ class TestRefine:
         b = AlgebraicNumber.from_rational(Fraction(3, 2))
         before = compare(a, b)
         assert compare(refine(a, Fraction(1, 1 << 20)), refine(b, Fraction(1, 1 << 20))) == before
+
+
+class TestFromRational:
+    def test_int_and_fraction(self):
+        assert AlgebraicNumber.from_rational(3) == AlgebraicNumber((-3, 1), Fraction(2), Fraction(4))
+        assert AlgebraicNumber.from_rational(Fraction(-1, 3)) == AlgebraicNumber(
+            (1, 3), Fraction(-4, 3), Fraction(2, 3))
+
+    @pytest.mark.parametrize("q", [0.1, "1/3", Decimal("0.5")], ids=["float", "str", "Decimal"])
+    def test_anything_else_is_refused_like_poly(self, q):
+        with pytest.raises(TypeError, match="rational") as refused:
+            AlgebraicNumber.from_rational(q)
+        with pytest.raises(TypeError) as by_poly:
+            Poly(1, {(0,): q})
+        assert str(refused.value) == str(by_poly.value)
+
+
+def _reference_merge(tagged):
+    """Sort by compare, dedupe, and refine neighbours apart one round at a time."""
+    by_value = cmp_to_key(compare)
+    roots, tags = [], []
+    for r, tag in sorted(tagged, key=lambda rt: by_value(rt[0])):
+        if roots and compare(roots[-1], r) == 0:
+            tags[-1].add(tag)
+            if r.is_rational and not roots[-1].is_rational:
+                roots[-1] = r
+            continue
+        roots.append(r)
+        tags.append({tag})
+    for i in range(len(roots) - 1):
+        while roots[i].hi > roots[i + 1].lo:
+            roots[i], roots[i + 1] = roots[i].refine_step(), roots[i + 1].refine_step()
+    return tuple(roots), tags
+
+
+class TestRationalRootSets:
+    def test_refine_step_of_a_rational_encoding(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            q = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            k = rng.choice([1, 2, -1, -3])
+            lo, hi = q - Fraction(rng.randint(1, 9), rng.randint(1, 9)), q + rng.randint(1, 3)
+            a = AlgebraicNumber((-k * q.numerator, k * q.denominator), lo, hi)
+            w = (hi - lo) / 4
+            assert a.refine_step() == AlgebraicNumber(a.coeffs, q - w, q + w)
+            assert compare(a, AlgebraicNumber.from_rational(q)) == 0
+
+    def test_merge_matches_the_round_by_round_reference(self):
+        rng = random.Random(1807)
+        for _ in range(300):
+            tagged = []
+            for tag in range(rng.randint(0, 6)):
+                if rng.random() < 0.15:
+                    r = SQRT2
+                else:
+                    q = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7, 1000]))
+                    k = rng.choice([1, 1, 2, -1])
+                    r = AlgebraicNumber((-k * q.numerator, k * q.denominator), q - 1, q + 1)
+                for _ in range(rng.randint(0, 2)):
+                    r = r.refine_step()
+                tagged.append((r, tag))
+            roots, tags = _merge_roots(tagged)
+            ref_roots, ref_tags = _reference_merge(tagged)
+            assert _exact(roots) == _exact(ref_roots) and tags == ref_tags
 
 
 class TestCompare:
