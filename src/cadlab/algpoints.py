@@ -337,12 +337,13 @@ def roots_above(
         shared["squarefree", q, v] = squarefree_part(q, v)
     q = shared["squarefree", q, v]
     defining = tuple((i, algebraic[i].coeffs) for i in live)
-    # exact coefficient signs decide nullification and the true degree
+    # the exact signs of the coefficients, leading one down, decide the true
+    # degree: the first nonzero one; none at all is nullification
     coeffs = q.coeffs_in(v)
-    signs = [0 if c.is_zero() else sign_at_point(c, point) for c in coeffs]
-    if all(s == 0 for s in signs):
+    true_deg = next((i for i in range(len(coeffs) - 1, -1, -1)
+                     if not coeffs[i].is_zero() and sign_at_point(coeffs[i], point) != 0), None)
+    if true_deg is None:
         raise Nullified()
-    true_deg = max(i for i, s in enumerate(signs) if s != 0)
     if true_deg == 0:
         return []
     trunc = Poly(q.nvars, {e: c for e, c in q.terms.items() if e[v] <= true_deg})

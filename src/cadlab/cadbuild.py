@@ -14,24 +14,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 from .algpoints import Nullified, _roots_at_pairs, roots_above, sign_at_point
 from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
 from .formulas import (
+    Atom,
+    Const,
     Formula,
     atom_polys,
     enumerate_designations,
-    evaluate_signs,
     identify_ecs,
     normalize,
     propagate_ecs,
-    score_designation,
 )
 from .ordering import VarOrdering
 from .polys import Poly, distinct_normalized
-from .projection import ProjectionLevels, projection_levels
+from .projection import ProjectionLevels, _input_level, _next_level, _set_sotd, projection_levels
 from .realroots import AlgebraicNumber, _merge_roots, _midpoint, merge_distinct
 
 __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_fulldim",
@@ -42,10 +42,10 @@ __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_ful
 class Cell:
     """One CAD cell: positional index, exact sample point, and leaf signs.
 
-    ``signs`` aligns with the tree's input polynomial list and is populated
-    lazily (leaf cells only); ``zero_polys`` indexes the polynomials the
-    cell's level lifted over (the stack's list) that vanish on the cell,
-    discovered during stack construction.
+    ``signs`` aligns with the tree's input polynomial list and is filled only
+    by :meth:`CADTree.ensure_signs` (leaf cells only); ``zero_polys`` indexes
+    the polynomials the cell's level lifted over (the stack's list) that
+    vanish on the cell, discovered during stack construction.
     """
 
     index: tuple[int, ...]
@@ -141,7 +141,9 @@ class CADTree:
     convention that a CAD of R^n has the leaf cells as its cells.
     ``_lifted[k]`` holds the polynomials lifted over at level k+1, the ones
     ``zero_polys`` indexes at that level (a designated level of an EC-mode
-    tree lifts over its designated EC alone).
+    tree lifts over its designated EC alone).  ``_signs_at`` maps (input,
+    ancestor index) to the input's sign on that ancestor's cells: leaf signs
+    and formula truth both sign through it.
     """
 
     ordering: VarOrdering
@@ -153,6 +155,7 @@ class CADTree:
     _relabeled_inputs: tuple[Poly, ...] = ()
     _lifted: tuple[tuple[Poly, ...], ...] = ()
     _tower_polys: dict[tuple[int, ...], Poly | None] = field(default_factory=dict, repr=False)
+    _signs_at: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict, repr=False)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -185,33 +188,93 @@ class CADTree:
         certificate when the input is, up to a rational factor, a polynomial
         lifted over at level m+1 that the ancestor lists in its
         ``zero_polys``; other zero signs are certified through the tower.
+        Signs that formula evaluation already found are read, not recomputed.
         """
-        ancestors = {c.index: c for level in self.levels[:-1] for c in level}
+        for leaf in self.levels[-1]:
+            if leaf.signs is None:
+                chain = self._chain(leaf)
+                leaf.signs = tuple(self._sign(j, chain) for j in range(len(self._relabeled_inputs)))
+
+    @cached_property
+    def _ancestors(self) -> dict[tuple[int, ...], Cell]:
+        return {c.index: c for level in self.levels[:-1] for c in level}
+
+    @cached_property
+    def _where(self) -> list[tuple[int, int | None]]:
+        """(m, i) per input: x_m is its highest variable, and i indexes it
+        among the polynomials lifted over at level m+1, or is None."""
         lifted_index = [{e.normalized(): i for i, e in enumerate(level)} for level in self._lifted]
-        # where[j]: (m, i) for input j with highest variable x_m; i indexes it
-        # among the polynomials lifted over at level m+1, or is None
-        where = []
+        out = []
         for p in self._relabeled_inputs:
             m = p.variables()[-1]
-            where.append((m, lifted_index[m].get(p.normalized())))
-        # (input, ancestor index) -> sign, for this call only
-        signs_at: dict[tuple[int, tuple[int, ...]], int] = {}
-        for leaf in self.levels[-1]:
-            if leaf.signs is not None:
-                continue
-            chain = [ancestors[leaf.index[:j]] for j in range(1, leaf.level)] + [leaf]
-            tower = partial(self._tower_poly, chain)
-            signs = []
-            for j, p in enumerate(self._relabeled_inputs):
-                m, i = where[j]
-                cell = chain[m]
-                s = signs_at.get((j, cell.index))
-                if s is None:
-                    checkpoint()
-                    zero = i is not None and i in cell.zero_polys
-                    s = signs_at[j, cell.index] = 0 if zero else sign_at_point(p, cell.sample, tower)
-                signs.append(s)
-            leaf.signs = tuple(signs)
+            out.append((m, lifted_index[m].get(p.normalized())))
+        return out
+
+    @cached_property
+    def _input_index(self) -> dict[Poly, int]:
+        return {p: j for j, p in enumerate(self.input_polys)}
+
+    def _chain(self, leaf: Cell) -> list[Cell]:
+        """The leaf's ancestors from level 1, then the leaf."""
+        return [self._ancestors[leaf.index[:j]] for j in range(1, leaf.level)] + [leaf]
+
+    def _sign(self, j: int, chain: Sequence[Cell]) -> int:
+        """Input j's sign on ``chain``'s leaf, signed once per ancestor."""
+        m, i = self._where[j]
+        cell = chain[m]
+        s = self._signs_at.get((j, cell.index))
+        if s is None:
+            checkpoint()
+            zero = i is not None and i in cell.zero_polys
+            s = 0 if zero else sign_at_point(self._relabeled_inputs[j], cell.sample,
+                                             partial(self._tower_poly, chain))
+            self._signs_at[j, cell.index] = s
+        return s
+
+    def _settled(self, f: Formula, chain: Sequence[Cell]) -> bool | None:
+        """f's truth on ``chain``'s leaf when it needs no sign, else None.
+
+        A constant needs none, nor does an atom whose sign the memo holds.
+        Nor does an atom on an input lifted at its level where the ancestor's
+        ``zero_polys``, which lists the input exactly where it vanishes,
+        decides it: ``=`` and ``!=`` everywhere, any relation where it is 0.
+        """
+        if isinstance(f, Const):
+            return f.value
+        if not isinstance(f, Atom):
+            return None
+        j = self._input_index[f.poly]
+        m, i = self._where[j]
+        cell = chain[m]
+        s = self._signs_at.get((j, cell.index))
+        if s is None and i is not None:
+            if i in cell.zero_polys:
+                s = 0
+            elif f.rel in ("=", "!="):
+                return f.rel == "!="
+        return None if s is None else f.holds_for_sign(s)
+
+    def _truth(self, f: Formula, chain: Sequence[Cell]) -> bool:
+        """Truth of the normalized formula f on ``chain``'s leaf.
+
+        In each and/or node the children that need no sign go first, then the
+        rest in order until one settles the node, so only the atoms the
+        answer needs are signed (normalized formulas hold no ``not``).
+        """
+        t = self._settled(f, chain)
+        if t is not None:
+            return t
+        if isinstance(f, Atom):
+            return f.holds_for_sign(self._sign(self._input_index[f.poly], chain))
+        settles = f.op == "or"  # the child value that decides the node
+        pending = []
+        for a in f.args:
+            t = self._settled(a, chain)
+            if t is None:
+                pending.append(a)
+            elif t == settles:
+                return settles
+        return settles if any(self._truth(a, chain) == settles for a in pending) else not settles
 
     def _tower_poly(self, chain: Sequence[Cell], k: int) -> Poly | None:
         """Coordinate k's entry in the section tower along ``chain``.
@@ -336,15 +399,32 @@ def _choose_designation(
         mapping = {k: level[0] for k, level in enumerate(candidates[:-1], start=1) if level}
         mapping[len(candidates)] = top[requested]
         return mapping, _label(mapping), None
+    inputs = _input_level(relabeled)
+    # (level set, level, designated EC or None) -> (next level set, its sotd),
+    # or None where the EC cannot project the set: designations that agree
+    # on the upper levels share those steps
+    steps: dict[tuple, tuple[tuple[Poly, ...], int] | None] = {}
     best = None
     for d in enumerate_designations(candidates):
-        try:
-            levels = projection_levels(relabeled, ordering.nvars, designations=d)
-        except ValueError:
-            continue
-        score = score_designation(relabeled, d, levels=levels)
-        if best is None or score < best[0]:
-            best = (score, d, levels)
+        out, score = [inputs], _set_sotd(inputs)
+        for k in range(ordering.nvars, 1, -1):
+            if best is not None and score >= best[0]:
+                break  # the sotd only grows: it cannot beat the first minimum
+            checkpoint()
+            key = (out[-1], k, d.get(k))
+            if key not in steps:
+                try:
+                    nxt = _next_level(*key)
+                    steps[key] = nxt, _set_sotd(nxt)
+                except ValueError:
+                    steps[key] = None
+            if steps[key] is None:
+                break
+            nxt, cost = steps[key]
+            out.append(nxt)
+            score += cost
+        if len(out) == ordering.nvars and (best is None or score < best[0]):
+            best = (score, d, ProjectionLevels(tuple(reversed(out))))
     if best is None:
         return {}, "none", None
     return best[1], _label(best[1]), best[2]
@@ -389,15 +469,17 @@ def evaluate_formula_on_cells(
 ) -> tuple[list[bool], int]:
     """Truth of the formula's matrix at every leaf sample, plus the true count.
 
-    The formula's polynomials must be among the tree's input set.
+    The formula's polynomials must be among the tree's input set.  Each
+    leaf signs only the atoms its truth needs.  Those signs go to the tree's
+    memo, not to ``Cell.signs``, which :meth:`CADTree.ensure_signs` fills.
     """
     if not set(tree.input_polys).issuperset(atom_polys(formula)):
         raise ValueError("formula polynomial not in the tree's input set")
-    with scoped_deadline(deadline):
-        tree.ensure_signs()
     canonical = normalize(formula)
-    truths = [
-        evaluate_signs(canonical, dict(zip(tree.input_polys, leaf.signs)))
-        for leaf in tree.leaves()
-    ]
+    truths = []
+    with scoped_deadline(deadline):
+        for leaf in tree.leaves():
+            # zero sets can decide every atom, and then nothing below checks
+            checkpoint()
+            truths.append(tree._truth(canonical, tree._chain(leaf)))
     return truths, sum(truths)

@@ -137,26 +137,6 @@ def atom_polys(f: Formula) -> list[Poly]:
     return list(seen)
 
 
-def evaluate_signs(f: Formula, sign_of: Mapping[Poly, int]) -> bool:
-    """Truth of the (quantifier-free) formula given atom polynomial signs.
-
-    Every atom of ``f`` must be canonical, as :func:`normalize` leaves them,
-    so a formula evaluated at many points is canonicalized once.
-    ``sign_of`` maps each normalized atom polynomial to its sign at the point
-    in question.
-    """
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Atom):
-        return f.holds_for_sign(sign_of[f.poly])
-    assert isinstance(f, BoolOp)
-    if f.op == "not":
-        return not evaluate_signs(f.args[0], sign_of)
-    if f.op == "and":
-        return all(evaluate_signs(a, sign_of) for a in f.args)
-    return any(evaluate_signs(a, sign_of) for a in f.args)
-
-
 def identify_ecs(f: Formula) -> list[Poly]:
     """Equations implied by the conjunction structure alone.
 

@@ -133,12 +133,12 @@ class ProjectionLevels:
 
 def sotd_value(levels: ProjectionLevels) -> int:
     """Sum of total degrees of every monomial at every level, input included."""
-    total = 0
-    for level in levels.levels:
-        for p in level:
-            for exps in p.terms:
-                total += sum(exps)
-    return total
+    return sum(map(_set_sotd, levels.levels))
+
+
+def _set_sotd(polys: Iterable[Poly]) -> int:
+    """Sum of total degrees of every monomial of one level."""
+    return sum(sum(exps) for p in polys for exps in p.terms)
 
 
 def projection_levels(
@@ -152,20 +152,26 @@ def projection_levels(
     designated EC; those levels project with the reduced operator.
     """
     designations = designations or {}
-    current = sorted(distinct_normalized(A), key=_poly_sort_key)
-    out = [tuple(current)]
+    out = [_input_level(A)]
     for k in range(nvars, 1, -1):
         checkpoint()
-        v = k - 1
-        if not any(p.contains_var(v) for p in current):
-            # nothing mentions the level variable: the set passes through
-            out.append(tuple(current))
-            continue
-        e = designations.get(k)
-        if e is not None:
-            current = reduced_ec_project(current, e, v)
-        else:
-            current = mccallum_project(current, v)
-        out.append(tuple(current))
+        out.append(_next_level(out[-1], k, designations.get(k)))
     out.reverse()
     return ProjectionLevels(tuple(out))
+
+
+def _input_level(A: Iterable[Poly]) -> tuple[Poly, ...]:
+    """Level ``nvars`` of :func:`projection_levels`: A normalized, deduplicated, sorted."""
+    return tuple(sorted(distinct_normalized(A), key=_poly_sort_key))
+
+
+def _next_level(current: tuple[Poly, ...], k: int, e: Poly | None) -> tuple[Poly, ...]:
+    """Level k-1 from level k's set: x_{k-1} eliminated, by the reduced
+    operator when ``e`` is the level's designated EC."""
+    v = k - 1
+    if not any(p.contains_var(v) for p in current):
+        # nothing mentions the level variable: the set passes through
+        return current
+    if e is not None:
+        return tuple(reduced_ec_project(current, e, v))
+    return tuple(mccallum_project(current, v))

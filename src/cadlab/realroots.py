@@ -457,27 +457,39 @@ def _merge_roots(
     Equal roots keep the first rational encoding among them, else the first
     one, in input order.  An all-rational set sorts by its values over one
     common denominator, and two rational neighbours are separated by the
-    number of halvings that ``refine_step`` rounds would take.
+    number of halvings that ``refine_step`` rounds would take.  Each pair
+    is compared at most once per call.
     """
     tagged = list(tagged)
+    known: dict[tuple[int, int], int] = {}
+
+    def cmp(i: int, j: int) -> int:
+        c = known.get((i, j))
+        if c is None:
+            c = known[i, j] = compare(tagged[i][0], tagged[j][0])
+            known[j, i] = -c
+        return c
+
     if all(r.is_rational for r, _ in tagged):
         pairs = [_num_den(r.coeffs) for r, _ in tagged]
         den = math.lcm(*(d for _, d in pairs))
         values = [n * (den // d) for n, d in pairs]
         order = sorted(range(len(tagged)), key=values.__getitem__)
     else:
-        by_value = cmp_to_key(compare)
-        order = sorted(range(len(tagged)), key=lambda i: by_value(tagged[i][0]))
+        order = sorted(range(len(tagged)), key=cmp_to_key(cmp))
     roots: list[AlgebraicNumber] = []
     tags: list[set] = []
-    for r, tag in (tagged[i] for i in order):
-        if roots and compare(roots[-1], r) == 0:
+    last = -1  # the index of roots[-1] in tagged
+    for i in order:
+        r, tag = tagged[i]
+        if roots and cmp(last, i) == 0:
             tags[-1].add(tag)
             if r.is_rational and not roots[-1].is_rational:
-                roots[-1] = r
+                roots[-1], last = r, i
             continue
         roots.append(r)
         tags.append({tag})
+        last = i
     # refine neighbours until their intervals are disjoint
     for i in range(len(roots) - 1):
         a, b = roots[i], roots[i + 1]

@@ -38,6 +38,8 @@ from cadlab.realroots import (
 
 XY = VarOrdering((0, 1))
 YX = VarOrdering((1, 0))
+EC3D = RandomProfile(nvars=3, npolys=3, max_degree=2, max_terms=4, coeff_range=5,
+                     equality_fraction=0.7)
 
 
 def P(terms):
@@ -334,6 +336,7 @@ class TestEvaluate:
         canonical = Atom.canonical
         monkeypatch.setattr(Atom, "canonical", lambda a: calls.append(a) or canonical(a))
         truths, n = evaluate_formula_on_cells(tree, formula)
+        tree.ensure_signs()
         expected = []
         for leaf in tree.leaves():
             sign_of = dict(zip(tree.input_polys, leaf.signs))
@@ -343,6 +346,88 @@ class TestEvaluate:
         # the input-set check and the evaluation each canonicalize the two atoms
         # once, however many leaves there are
         assert len(truths) > 4 and len(calls) == 4
+
+
+def _full_sign_truth(f, sign_of) -> bool:
+    """Truth of a raw formula from every input's sign, atoms canonicalized here."""
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Atom):
+        atom = f.canonical()
+        return atom.holds_for_sign(sign_of[atom.poly])
+    values = [_full_sign_truth(a, sign_of) for a in f.args]
+    if f.op == "not":
+        return not values[0]
+    return all(values) if f.op == "and" else any(values)
+
+
+def _mixed_formulas(prob):
+    """The problem's formula and three that mix or, not, != and <= over its inputs."""
+    inputs = prob.input_polys()
+    a, b, c = (inputs[i % len(inputs)] for i in range(3))
+    And = lambda *args: BoolOp("and", args)  # noqa: E731
+    Or = lambda *args: BoolOp("or", args)  # noqa: E731
+    Not = lambda arg: BoolOp("not", (arg,))  # noqa: E731
+    return [
+        prob.formula,
+        Or(And(Atom(a, "="), Not(Atom(b, "<="))), And(Atom(b, "!="), Atom(c * -3, "<="))),
+        Not(Or(Atom(a, "!="), And(Atom(b, "<="), Not(Atom(c, "="))))),
+        And(Or(Atom(a, "<="), Atom(b, "!=")), Not(And(Atom(c, "!="), Atom(a, ">="))),
+            Or(Not(Atom(b, "=")), Atom(c, "<"), Const(False))),
+    ]
+
+
+class TestDemandDrivenTruth:
+    XYZ = VarOrdering((0, 1, 2))
+
+    @pytest.mark.parametrize("mode", ["sign", "ec"])
+    def test_equals_full_sign_truth(self, mode):
+        checked = 0
+        for prob in random_problems(5302, 25, EC3D):
+            try:
+                tree = build_cad(prob, self.XYZ, mode=mode)
+            except NotWellOrientedError:
+                continue
+            reference = build_cad(prob, self.XYZ, mode=mode)
+            reference.ensure_signs()
+            for formula in _mixed_formulas(prob):
+                truths, n = evaluate_formula_on_cells(tree, formula)
+                expected = [_full_sign_truth(formula, dict(zip(reference.input_polys, leaf.signs)))
+                            for leaf in reference.leaves()]
+                assert truths == expected and n == sum(expected), prob.name
+                checked += 1
+            # evaluation leaves Cell.signs alone; the signs it found are the
+            # ones ensure_signs reads back
+            assert all(leaf.signs is None for leaf in tree.leaves())
+            tree.ensure_signs()
+            assert [leaf.signs for leaf in tree.leaves()] == [
+                leaf.signs for leaf in reference.leaves()]
+        assert checked >= 60
+
+    def test_designated_sector_leaves_cost_no_sign(self, monkeypatch):
+        # a designated top-level EC is nonzero on every sector leaf, which its
+        # zero set shows, so the conjunction is false there without a sign
+        signed = []
+        inner = cadbuild.CADTree._sign
+
+        def recording(tree, j, chain):
+            signed.append(chain[-1].index)
+            return inner(tree, j, chain)
+
+        monkeypatch.setattr(cadbuild.CADTree, "_sign", recording)
+        trees = 0
+        for prob in random_problems(5302, 40, EC3D):
+            try:
+                tree = build_cad(prob, self.XYZ, mode="ec")
+            except NotWellOrientedError:
+                continue
+            if "L3" not in tree.designation_label.split(";"):
+                continue
+            signed.clear()
+            evaluate_formula_on_cells(tree, prob.formula)
+            assert all(index[-1] % 2 == 0 for index in signed), prob.name
+            trees += 1
+        assert trees >= 10
 
 
 class TestEcReduced:
@@ -373,31 +458,71 @@ class TestEcReduced:
             assert n == 2
 
     def test_projection_levels_computed_once_per_designation(self, monkeypatch):
+        # scoring steps every designation's projection through one memo, so
+        # no (level set, level, EC) step runs twice, and the build lifts over
+        # the winning designation's scored levels without projecting again
         calls = []
-        scores = []
+        steps = []
+        step = cadbuild._next_level
 
         def counting(*args, **kwargs):
             calls.append(kwargs.get("designations"))
             return projection_levels(*args, **kwargs)
 
-        def scoring(*args, **kwargs):
-            scores.append(kwargs.get("levels"))
-            return score_designation(*args, **kwargs)
+        def stepping(*key):
+            steps.append(key)
+            return step(*key)
 
         monkeypatch.setattr(cadbuild, "projection_levels", counting)
-        monkeypatch.setattr(cadbuild, "score_designation", scoring)
+        monkeypatch.setattr(cadbuild, "_next_level", stepping)
         formula = BoolOp("and", (Atom(CIRCLE, "="), Atom(CIRCLE2, "=")))
         prob = Problem("two", ("x", "y"), formula=formula)
         scored = list(enumerate_designations(propagate_ecs(identify_ecs(formula))))
         assert len(scored) > 1
         build_cad(prob, XY, mode="ec")
-        # the build lifts over the winning designation's scored levels, and
-        # each designation is scored through score_designation on its levels
-        assert len(calls) == len(scored)
-        assert len(scores) == len(scored) and all(lv is not None for lv in scores)
-        calls.clear()
+        assert calls == []
+        assert len(steps) == len(set(steps)) == len(scored)
         build_cad(prob, XY, mode="ec", designation=1)
         assert len(calls) == 1
+
+    def test_shared_pruned_scoring_matches_scoring_from_scratch(self, monkeypatch):
+        # the first strict sotd minimum wins, with the same levels, as when
+        # each designation is projected and scored on its own
+        steps = []
+        step = cadbuild._next_level
+
+        def stepping(*key):
+            steps.append(key)
+            return step(*key)
+
+        monkeypatch.setattr(cadbuild, "_next_level", stepping)
+        xyz = VarOrdering((0, 1, 2))
+        compared = shared_steps = from_scratch_steps = 0
+        for prob in random_problems(5302, 120, EC3D):
+            ecs = xyz.relabel(identify_ecs(prob.formula))
+            designations = enumerate_designations(propagate_ecs(ecs)) if ecs else []
+            if len(designations) < 2:
+                continue
+            relabeled = xyz.relabel(prob.input_polys())
+            best = None
+            for d in designations:
+                try:
+                    levels = projection_levels(relabeled, 3, designations=d)
+                except ValueError:
+                    continue
+                score = score_designation(relabeled, d, levels=levels)
+                if best is None or score < best[0]:
+                    best = (score, d, levels)
+            assert best is not None
+            steps.clear()
+            mapping, label, levels = cadbuild._choose_designation(relabeled, prob.formula, xyz, None)
+            assert (mapping, label, levels) == (best[1], cadbuild._label(best[1]), best[2]), prob.name
+            assert len(steps) == len(set(steps)) <= 2 * len(designations)
+            compared += 1
+            shared_steps += len(steps)
+            from_scratch_steps += 2 * len(designations)
+        assert compared >= 10
+        assert shared_steps < from_scratch_steps
 
     @pytest.mark.xfail(strict=True, reason="a designated EC vanishing identically over a "
                        "0-dimensional cell lifts no sections, so the other ECs' roots are lost")

@@ -33,9 +33,9 @@ CIRCLE = P({(2, 0): 1, (0, 2): 1, (0, 0): -1})
 CIRCLE2 = P({(2, 0): 1, (1, 0): -2, (0, 2): 1})
 
 
-def _evaluate(deadline):
+def _evaluate(deadline, atom=Atom(CIRCLE, "<")):
     tree = build_cad([CIRCLE, CIRCLE2], XY)
-    return evaluate_formula_on_cells(tree, Atom(CIRCLE, "<"), deadline=deadline)
+    return evaluate_formula_on_cells(tree, atom, deadline=deadline)
 
 
 # the five entry points that take ``deadline=``, each reduced to a comparable answer
@@ -48,6 +48,9 @@ ENTRY_POINTS = {
     "order_by_fulldim": lambda dl: order_by_fulldim([CIRCLE, CIRCLE2], 2, deadline=dl).scores,
     "build_cad": lambda dl: build_cad([CIRCLE, CIRCLE2], XY, deadline=dl).counts,
     "evaluate_formula_on_cells": _evaluate,
+    # a sign-mode tree's zero sets decide this atom on every leaf, so no
+    # sign is computed and only the per-leaf check can see the budget
+    "evaluate_formula_on_cells_zero_sets": lambda dl: _evaluate(dl, Atom(CIRCLE, "=")),
 }
 
 

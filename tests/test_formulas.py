@@ -202,6 +202,7 @@ class TestEcImplication:
         tree = build_cad(prob, XY)
         truths, n = evaluate_formula_on_cells(tree, formula)
         assert n >= 1
+        tree.ensure_signs()
         index_of = {p: i for i, p in enumerate(tree.input_polys)}
         for leaf, holds in zip(tree.leaves(), truths):
             if holds:

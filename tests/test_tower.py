@@ -120,6 +120,34 @@ class TestLeafZeroPolys:
         assert sections > 0
 
 
+LIFT3D = RandomProfile(nvars=3, npolys=2, max_degree=2, max_terms=4, coeff_range=5,
+                       equality_fraction=0.3)
+
+
+class TestZeroSetsComplete:
+    @pytest.mark.parametrize("mode", ["sign", "ec"])
+    @pytest.mark.parametrize("seed, profile", [(5302, EC3D), (5301, LIFT3D)], ids=["ec3d", "lift3d"])
+    def test_lifted_index_listed_exactly_where_it_vanishes(self, seed, profile, mode):
+        # formula evaluation decides = and != atoms on lifted inputs from
+        # zero_polys alone, which needs every zero listed and nothing more
+        checked = zeros = 0
+        for problem in random_problems(seed, 12, profile):
+            try:
+                tree = _brown_tree(problem, mode)
+            except NotWellOrientedError:
+                continue
+            for k, (cells, lifted) in enumerate(zip(tree.levels, tree._lifted)):
+                for cell in cells:
+                    for i, e in enumerate(lifted):
+                        if not e.contains_var(k):
+                            continue  # split the line at its own level only
+                        zero = sign_at_point(e, cell.sample) == 0
+                        assert (i in cell.zero_polys) == zero, (problem.name, cell.index, i)
+                        checked += 1
+                        zeros += zero
+        assert 0 < zeros < checked
+
+
 def _squarefree_in_main_variable(p: Poly) -> bool:
     return squarefree_part(p, p.variables()[-1]).normalized() == p.normalized()
 
@@ -275,6 +303,8 @@ class TestFormerlyKilled:
         deadline = Deadline.after_ms(2000)
         tree = _brown_tree(problem, "ec", deadline)
         evaluate_formula_on_cells(tree, problem.formula, deadline=deadline)
+        with scoped_deadline(deadline):
+            tree.ensure_signs()
         assert time.monotonic() - start < 2.0
         cache: dict = {}
         tiny = Fraction(1, 1 << 250)
