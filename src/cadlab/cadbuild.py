@@ -1,9 +1,11 @@
 """The lifting phase: stacks, the leveled cell tree, open CADs, formula truth.
 
-Lifting works in a relabeled coordinate space where variable i is the level
-i+1 variable of the chosen ordering, so sample points are plain prefixes.
-Cell indices follow the odd/even convention: odd entries are sectors, even
-entries sections; a stack over a base with r sections has 2r+1 cells.
+Every stack comes from :func:`build_stack`: the full CAD keeps all of its
+cells, an open CAD only its sectors.  Lifting works in a relabeled
+coordinate space where variable i is the level i+1 variable of the chosen
+ordering, so sample points are plain prefixes.  Cell indices follow the
+odd/even convention: odd entries are sectors, even entries sections; a stack
+over a base with r sections has 2r+1 cells.
 
 Sector samples stay rational: midpoints of the gap between refined section
 intervals, and the nearest integer beyond the outermost bounds.
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Iterable, Sequence
 
-from .algpoints import Nullified, _roots_at_pairs, roots_above, sign_at_point
+from .algpoints import Nullified, roots_above, sign_at_point
 from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
 from .formulas import (
     Atom,
@@ -32,7 +34,7 @@ from .formulas import (
 from .ordering import VarOrdering
 from .polys import Poly, distinct_normalized
 from .projection import ProjectionLevels, _input_level, _next_level, _set_sotd, projection_levels
-from .realroots import AlgebraicNumber, _merge_roots, _midpoint, merge_distinct
+from .realroots import AlgebraicNumber, _merge_roots, _midpoint
 
 __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_fulldim",
            "evaluate_formula_on_cells"]
@@ -66,7 +68,6 @@ class Cell:
 class Stack:
     """Cells over one base cell, alternating sector/section, sectors outermost."""
 
-    base: Cell
     cells: list[Cell]
 
 
@@ -129,7 +130,7 @@ def build_stack(base: Cell, polys: Sequence[Poly], shared: dict | None = None) -
         Cell(base.index + (2 * len(roots) + 1,), base.sample + (last,),
              zero_polys=frozenset(nullified))
     )
-    return Stack(base, cells)
+    return Stack(cells)
 
 
 @dataclass
@@ -437,31 +438,22 @@ def _label(mapping: dict[int, Poly]) -> str:
 
 
 def open_cad_fulldim(A: Iterable[Poly], ordering: VarOrdering) -> int:
-    """Number of full-dimensional cells: sectors-only recursion, rational samples."""
+    """Number of full-dimensional cells: every stack's sectors, level by level.
+
+    No stack over a sector is nullified: a level-k polynomial vanishes at a
+    sample only where its leading coefficient in x_{k-1} does, which the
+    projection emits (or it is a nonzero constant), and sector samples avoid
+    every lower-level root.
+    """
     relabeled = ordering.relabel(p for p in A if not p.is_constant())
     if not relabeled:
         return 1
-    n = ordering.nvars
-    levels = projection_levels(relabeled, n)
-    samples: list[tuple[Fraction, ...]] = [()]
-    for k in range(1, n + 1):
-        polys_k = levels.level(k)
-        v = k - 1
-        next_samples: list[tuple[Fraction, ...]] = []
-        for s in samples:
-            checkpoint()
-            pairs = [(x.numerator, x.denominator) for x in s]
-            roots = []
-            for p in polys_k:
-                try:
-                    roots.extend(_roots_at_pairs(p, pairs, v))
-                except Nullified:
-                    continue
-            merged = merge_distinct(roots)
-            for point in sector_points(merged):
-                next_samples.append(s + (point,))
-        samples = next_samples
-    return len(samples)
+    levels = projection_levels(relabeled, ordering.nvars)
+    cells = [Cell((), ())]
+    for k in range(1, ordering.nvars + 1):
+        shared: dict = {}  # the level's point-free root-isolation work
+        cells = [c for base in cells for c in build_stack(base, levels.level(k), shared).cells[::2]]
+    return len(cells)
 
 
 def evaluate_formula_on_cells(

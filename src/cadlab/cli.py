@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
@@ -245,6 +246,11 @@ def _cmd_gen(args) -> int:
     profile = RandomProfile()
     if args.profile is not None:
         doc = json.loads(args.profile.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise CadError("profile must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(RandomProfile)})
+        if unknown:
+            raise CadError(f"unknown profile field(s): {', '.join(unknown)}")
         profile = RandomProfile(**doc)
     problems = random_problems(args.seed, args.count, profile)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DesignationCapError
 from .polys import Poly, _poly_sort_key, distinct_normalized, resultant
-from .projection import ProjectionLevels, _emit, projection_levels, sotd_value
+from .projection import _emit, projection_levels, sotd_value
 
 __all__ = [
     "Atom",
@@ -209,20 +209,15 @@ def enumerate_designations(candidates: Sequence[Sequence[Poly]]) -> list[dict[in
     return out
 
 
-def score_designation(
-    A: Iterable[Poly],
-    designation: Mapping[int, Poly],
-    levels: ProjectionLevels | None = None,
-) -> int:
+def score_designation(A: Iterable[Poly], designation: Mapping[int, Poly]) -> int:
     """Projection size under the designation: the sotd of its level stack.
 
     A and the designation are in lifting coordinates.  Designations apply
     the reduced operator at their levels (level 1 carries no projection, so
-    its designation is inert).  Projection errors propagate.  A caller that
-    goes on to lift over the designation's levels computes them and passes
-    them as ``levels``.
+    its designation is inert).  Projection errors propagate; an empty A
+    raises :class:`ValueError`.
     """
-    if levels is None:
-        A = list(A)
-        levels = projection_levels(A, A[0].nvars, designations=designation)
-    return sotd_value(levels)
+    A = list(A)
+    if not A:
+        raise ValueError("no polynomials to project")
+    return sotd_value(projection_levels(A, A[0].nvars, designations=designation))

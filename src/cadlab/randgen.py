@@ -34,11 +34,17 @@ class RandomProfile:
     equality_fraction: float = 0.5
 
     def __post_init__(self):
-        if min(self.nvars, self.npolys, self.max_degree, self.max_terms, self.coeff_range) <= 0:
+        bounds = (self.nvars, self.npolys, self.max_degree, self.max_terms, self.coeff_range)
+        if any(isinstance(b, bool) or not isinstance(b, int) for b in bounds):
+            raise ValueError("profile bounds must be integers")
+        frac = self.equality_fraction
+        if isinstance(frac, bool) or not isinstance(frac, (int, float)):
+            raise ValueError("equality_fraction must be a number")
+        if min(bounds) <= 0:
             raise ValueError("profile bounds must be positive")
         if self.nvars > len(_VAR_POOL):
             raise ValueError(f"at most {len(_VAR_POOL)} variables supported")
-        if not 0.0 <= self.equality_fraction <= 1.0:
+        if not 0.0 <= frac <= 1.0:
             raise ValueError("equality_fraction must lie in [0, 1]")
 
 

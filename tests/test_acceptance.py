@@ -26,7 +26,6 @@ from cadlab.ordering import VarOrdering
 from cadlab.bench import load_problem_file
 from cadlab.probjson import emit_json
 from cadlab.problem import Problem
-from cadlab.randgen import RandomProfile, random_problems
 
 CORPUS = Path(__file__).parent.parent / "src" / "cadlab" / "corpus"
 XY = VarOrdering((0, 1))
@@ -163,23 +162,16 @@ def test_criterion_7_property_suites():
     )
 
 
-def _seeded_corpus(root: Path) -> Path:
+def _seeded_corpus(root: Path, problems: list[Problem]) -> Path:
     corpus = root / "random-corpus"
     corpus.mkdir()
-    problems = []
-    problems += random_problems(4201, 120, RandomProfile(
-        nvars=2, npolys=2, max_degree=3, max_terms=3, coeff_range=4, equality_fraction=0.5))
-    problems += random_problems(4202, 50, RandomProfile(
-        nvars=2, npolys=3, max_degree=2, max_terms=3, coeff_range=5, equality_fraction=0.3))
-    problems += random_problems(4203, 30, RandomProfile(
-        nvars=3, npolys=2, max_degree=2, max_terms=2, coeff_range=3, equality_fraction=0.6))
     for p in problems:
         (corpus / f"{p.name}.json").write_text(emit_json(p), encoding="utf-8")
     return corpus
 
 
-def test_criterion_8_no_dominant_heuristic(tmp_path):
-    corpus = _seeded_corpus(tmp_path)
+def test_criterion_8_no_dominant_heuristic(tmp_path, criterion_8_problems):
+    corpus = _seeded_corpus(tmp_path, criterion_8_problems)
     assert len(list(corpus.glob("*.json"))) == 200
     report = run_bench(corpus, BenchConfig(timeout_ms=5000, stable=True))
     by_problem: dict[str, dict[str, int]] = defaultdict(dict)

@@ -38,6 +38,12 @@ class TestRandGen:
         with pytest.raises(ValueError):
             RandomProfile(nvars=0)
 
+    @pytest.mark.parametrize("bounds", [{"nvars": "2"}, {"npolys": True}, {"max_degree": 2.0},
+                                        {"equality_fraction": "0.5"}])
+    def test_mistyped_profile(self, bounds):
+        with pytest.raises(ValueError):
+            RandomProfile(**bounds)
+
 
 class TestBench:
     def test_circle_all_orders(self, tmp_path):
@@ -211,6 +217,21 @@ class TestCli:
         assert lines[0] == ("problem,heuristic,ordering,designation,mode,"
                             "cells,fulldim_cells,time_ms,status")
         assert len(lines) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"nvar": 2}, "unknown profile field(s): nvar"),
+        ([1, 2], "profile must be a JSON object"),
+        ({"nvars": "2"}, "profile bounds must be integers"),
+        ({"nvars": 0}, "profile bounds must be positive"),
+    ])
+    def test_gen_rejects_a_malformed_profile(self, tmp_path, capsys, doc, message):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(doc))
+        out_dir = tmp_path / "generated"
+        assert main(["gen", "--seed", "7", "--count", "3", "--profile", str(profile),
+                     "--out", str(out_dir)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
 
     def test_bench_byte_identical(self, tmp_path, capsys):
         work = tmp_path / "corpus"

@@ -24,7 +24,7 @@ from cadlab.formulas import (
     propagate_ecs,
     score_designation,
 )
-from cadlab.ordering import VarOrdering
+from cadlab.ordering import VarOrdering, admissible_orderings
 from cadlab.polys import Poly
 from cadlab.problem import Problem
 from cadlab.projection import projection_levels
@@ -294,6 +294,22 @@ class TestOpenCad:
         assert open_cad_fulldim([BLOWUP], YX) == 2
         assert open_cad_fulldim([BLOWUP], XY) == 5
 
+    def test_criterion_8_corpus_matches_fulldim_leaves(self, criterion_8_problems):
+        # every ordering gets an open CAD; it is the sign-mode build's sector
+        # subtree wherever the build is well oriented
+        matched = not_well_oriented = 0
+        for prob in criterion_8_problems:
+            for ordering in admissible_orderings(prob.nvars, prob.blocks):
+                n = open_cad_fulldim(prob.input_polys(), ordering)
+                try:
+                    tree = build_cad(prob, ordering, mode="sign")
+                except NotWellOrientedError:
+                    not_well_oriented += 1
+                    continue
+                assert n == tree.fulldim_leaf_count(), (prob.name, ordering)
+                matched += 1
+        assert (matched, not_well_oriented) == (508, 12)
+
 
 class TestEvaluate:
     def test_circle_equality_true_on_four(self, circle):
@@ -510,7 +526,7 @@ class TestEcReduced:
                     levels = projection_levels(relabeled, 3, designations=d)
                 except ValueError:
                     continue
-                score = score_designation(relabeled, d, levels=levels)
+                score = score_designation(relabeled, d)
                 if best is None or score < best[0]:
                     best = (score, d, levels)
             assert best is not None

@@ -173,11 +173,9 @@ class TestScore:
         for d in enumerate_designations(cands):
             assert score_designation([F1, F2], d) <= full
 
-    def test_given_levels_are_scored(self):
-        cands = propagate_ecs([F1, F2])
-        for d in enumerate_designations(cands):
-            levels = projection_levels([F1, F2], 2, designations=d)
-            assert score_designation([F1, F2], d, levels=levels) == score_designation([F1, F2], d)
+    def test_empty_input_is_refused(self):
+        with pytest.raises(ValueError, match="no polynomials"):
+            score_designation([], {})
 
 
 class TestAtomPolys:
