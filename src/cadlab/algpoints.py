@@ -44,17 +44,15 @@ primitives drive the lifting phase:
   degree, discriminant sign, endpoint signs and exact zero tests are signs at
   the sample and run for every base cell.
 
-At a sample whose coordinates are all rational, both primitives evaluate in
-integers: each coordinate is a (num, den) pair, and one homogeneous
-evaluation with a power table per variable gives p times one positive scale,
-a number for a sign and an integer list in v for the roots above (handed to
-:func:`realroots.isolate_real_roots` as it is).  No ``Poly.substitute`` and
-no ``Fraction`` arithmetic runs there.
+Every rational substitution (a sample's coordinates, one that turns rational,
+the carrier's, candidate endpoints) is :meth:`Poly.scaled_substitute`: the
+substituted polynomial times an integer scale >= 1, so signs, zeros and roots
+are unchanged and a root gap stays valid.  An all-rational sample is the case
+with no live algebraic coordinate, and no ``Fraction`` arithmetic runs there.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
@@ -81,52 +79,16 @@ class Nullified(Exception):
 
 def _split_coords(
     point: Sequence[AlgebraicNumber],
-) -> tuple[dict[int, Fraction], dict[int, AlgebraicNumber]]:
-    rational: dict[int, Fraction] = {}
+) -> tuple[dict[int, tuple[int, int]], dict[int, AlgebraicNumber]]:
+    """The rational coordinates as (num, den) pairs, and the algebraic ones."""
+    rational: dict[int, tuple[int, int]] = {}
     algebraic: dict[int, AlgebraicNumber] = {}
     for i, a in enumerate(point):
         if a.is_rational:
-            rational[i] = a.rational_value
+            rational[i] = _num_den(a.coeffs)
         else:
             algebraic[i] = a
     return rational, algebraic
-
-
-def _rational_pairs(point: Sequence[AlgebraicNumber]) -> list[tuple[int, int]] | None:
-    """Each coordinate's (num, den), den > 0, when every one is rational; else None."""
-    if not all(a.is_rational for a in point):
-        return None
-    return [_num_den(a.coeffs) for a in point]
-
-
-def _at_pairs(p: Poly, pairs: Sequence[tuple[int, int]]) -> dict[tuple[int, ...], int]:
-    """p at x_i = num_i/den_i for the first len(pairs) variables, times a positive scale.
-
-    One homogeneous integer evaluation: the scale is the lcm of the
-    coefficients' denominators times den_i**deg_i(p) for each i, so the term
-    c * prod x_i**e_i becomes an integer from one power table per variable.
-    The result maps the remaining variables' exponent tuples to their
-    integer coefficients, zeros included.
-    """
-    k = len(pairs)
-    terms = p.terms
-    cden = math.lcm(*(c.denominator for c in terms.values()))
-    tables = []
-    for (num, den), exps in zip(pairs, zip(*terms)):
-        top = max(exps)
-        # table[e] = num**e * den**(top - e)
-        table = [num**e for e in range(top + 1)]
-        if den != 1:
-            table = [x * den ** (top - e) for e, x in enumerate(table)]
-        tables.append(table)
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in terms.items():
-        t = c.numerator * (cden // c.denominator)
-        for table, x in zip(tables, e):
-            t *= table[x]
-        rest = e[k:]
-        out[rest] = out.get(rest, 0) + t
-    return out
 
 
 def sign_at_point(
@@ -136,17 +98,11 @@ def sign_at_point(
 
     ``tower(k)`` is None or a polynomial E_k in x_0..x_k that vanishes at
     point[:k+1] and whose leading coefficient in x_k is nonzero at
-    point[:k]; the zero certificate eliminates x_k against it.  At a sample
-    whose coordinates are all rational the sign is that of one integer
-    evaluation (see :func:`_at_pairs`).
+    point[:k]; the zero certificate eliminates x_k against it.
     """
     if any(p.contains_var(v) for v in range(len(point), p.nvars)):
         raise ValueError("polynomial has a variable beyond the sample point")
-    pairs = _rational_pairs(point)
-    if pairs is None:
-        return _refined_sign(p, point, tower=tower)
-    val = sum(_at_pairs(p, pairs).values())
-    return (val > 0) - (val < 0)
+    return _refined_sign(p, point, tower=tower)
 
 
 def _refined_sign(
@@ -157,22 +113,22 @@ def _refined_sign(
 ) -> int:
     """Sign of q at the sample point; q has no variable beyond it.
 
-    The rational coordinates are substituted first.  Each round narrows every
-    live interval.  A coordinate that turns rational is substituted and the
-    round count starts again.  After ``_REFINE_ROUNDS_BEFORE_EXACT`` undecided
-    rounds the root gap of the eliminant of z - q is computed, unless the
-    caller passed it: q(point) is a root of that eliminant, so an enclosure
-    inside (-gap, gap) certifies zero.  ``tower`` is passed on to
-    :func:`_carrier`.
+    The rational coordinates are substituted first, scaled (a passed gap stays
+    valid).  Each round narrows every live interval.  A coordinate that turns
+    rational is substituted and the round count starts again.  After
+    ``_REFINE_ROUNDS_BEFORE_EXACT`` undecided rounds the root gap of the
+    eliminant of z - q is computed, unless the caller passed it: q(point) is a
+    root of that eliminant, so an enclosure inside (-gap, gap) certifies zero.
+    ``tower`` is passed on to :func:`_carrier`.
     """
     rational, coords = _split_coords(point)
     if rational:
-        q = q.substitute(rational)
+        q = q.scaled_substitute(rational)
     rounds = 0
     while True:
         coords = {i: a for i, a in coords.items() if q.contains_var(i)}
         if not coords:
-            val = q.constant_value()
+            val = next(iter(q.terms.values()), 0)
             return (val > 0) - (val < 0)
         if len(coords) == 1:
             ((v, a),) = coords.items()
@@ -191,9 +147,9 @@ def _refined_sign(
             raise AssertionError("eliminant lost the sample value")
         rounds += 1
         coords = {i: a.refine_step() for i, a in coords.items()}
-        rational = {i: a.rational_value for i, a in coords.items() if a.is_rational}
+        rational = {i: _num_den(a.coeffs) for i, a in coords.items() if a.is_rational}
         if rational:
-            q = q.substitute(rational)
+            q = q.scaled_substitute(rational)
             rounds = 0
 
 
@@ -220,7 +176,7 @@ def _carrier(
             continue
         alpha = point[k]
         if alpha.is_rational:
-            g = g.substitute({k: alpha.rational_value})
+            g = g.scaled_substitute({k: _num_den(alpha.coeffs)})
             continue
         e = None if tower is None else tower(k)
         if e is None:
@@ -318,13 +274,8 @@ def roots_above(
     the module docstring); callers lifting one level pass the same dict for
     every base cell.
     """
-    pairs = _rational_pairs(point)
-    if pairs is not None:
-        return _roots_at_pairs(p, pairs, v)
-    if shared is None:
-        shared = {}
     rational, algebraic = _split_coords(point)
-    q = p.substitute(rational) if rational else p
+    q = p.scaled_substitute(rational) if rational else p
     live = [i for i in algebraic if q.contains_var(i)]
     if not live:
         if q.is_zero():
@@ -333,6 +284,8 @@ def roots_above(
             return []
         # isolation divides out gcd(q, q') itself
         return list(isolate_real_roots(q, v))
+    if shared is None:
+        shared = {}
     if ("squarefree", q, v) not in shared:
         shared["squarefree", q, v] = squarefree_part(q, v)
     q = shared["squarefree", q, v]
@@ -379,8 +332,9 @@ def roots_above(
         return out
     for beta in candidates:
         checkpoint()
-        lo_sign = sign_at_point(trunc.substitute({v: beta.lo}), point)
-        hi_sign = sign_at_point(trunc.substitute({v: beta.hi}), point)
+        lo_sign, hi_sign = (
+            sign_at_point(trunc.scaled_substitute({v: (x.numerator, x.denominator)}), point)
+            for x in (beta.lo, beta.hi))
         if lo_sign == 0 or hi_sign == 0:  # pragma: no cover
             raise AssertionError("candidate endpoints must not be section roots")
         gap_signs.append(lo_sign)
@@ -396,33 +350,6 @@ def roots_above(
             if s1 != s2:  # pragma: no cover - pathological, abort loudly
                 raise AssertionError("section root missed between candidates")
     return out
-
-
-def _roots_at_pairs(p: Poly, pairs: Sequence[tuple[int, int]], v: int) -> list[AlgebraicNumber]:
-    """:func:`roots_above` at a sample whose coordinates are the rationals ``pairs``.
-
-    The integer list of p(point, v) goes to root isolation as it is, which
-    divides out gcd(q, q') itself.
-    """
-    j = v - len(pairs)
-    by_power: dict[int, int] = {}
-    other = False  # a variable besides v survives
-    for e, c in _at_pairs(p, pairs).items():
-        if c:
-            other = other or any(e[:j]) or any(e[j + 1:])
-            # two keys share a power of v only when another variable survives
-            by_power[e[j]] = c
-    if not by_power:
-        raise Nullified()
-    top = max(by_power)
-    if top == 0:
-        return []
-    if other:
-        raise ValueError("not univariate")
-    dense = [0] * (top + 1)
-    for k, c in by_power.items():
-        dense[k] = c
-    return list(isolate_real_roots(dense))
 
 
 def _substitution_squarefree(

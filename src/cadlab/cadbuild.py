@@ -328,10 +328,13 @@ def build_cad(
     mode "sign": sign-invariant CAD of the input set.  mode "ec": reduced
     projection and lifting along a designated equational constraint; the
     designation is auto-selected by sotd score unless ``designation`` gives
-    an index into the top level's EC candidates.
+    an index into the top level's EC candidates; a designation outside EC
+    mode raises ValueError.
     """
     if mode not in ("sign", "ec"):
         raise ValueError(f"unknown CAD mode {mode!r}")
+    if designation is not None and mode != "ec":
+        raise ValueError(f"a designation applies in EC mode only, not in mode {mode!r}")
     polys, formula = _input_list(source)
     inputs = distinct_normalized(polys)
     if not inputs:

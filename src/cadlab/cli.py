@@ -118,6 +118,12 @@ def main(argv=None) -> int:
     except (CadError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # a path that cannot be opened is a usage error
+        path = Path(str(e.filename))
+        outputs = {getattr(args, "out", None), getattr(args, "json_out", None)}
+        verb = "write" if outputs & {path, *path.parents} else "read"
+        print(f"error: cannot {verb} {e.filename}: {e.strerror}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:
@@ -165,7 +171,7 @@ def _cmd_cad(args) -> int:
     problem = load_problem_file(args.file)
     ordering = _resolve_order(problem, args.order)
     designation = None
-    if args.mode == "ec" and args.designation != "auto":
+    if args.designation != "auto":
         try:
             designation = int(args.designation)
         except ValueError:

@@ -31,16 +31,16 @@ def dense_from_poly(p: Poly, v: int | None = None) -> list[int]:
 
     Raises ValueError when p involves any variable other than v.
     """
-    vs = p.variables()
-    if len(vs) > 1:
-        raise ValueError("not univariate")
     if v is None:
+        vs = p.variables()
         v = vs[0] if vs else 0
-    elif vs and vs[0] != v:
-        raise ValueError("not univariate in the requested variable")
     out = [0] * (p.degree(v) + 1)
     for exps, c in p.terms.items():
-        out[exps[v]] = c
+        k = exps[v]
+        if sum(exps) != k:
+            raise ValueError("not univariate" if len(p.variables()) > 1
+                             else "not univariate in the requested variable")
+        out[k] = c
     return _primitive(_strip(out))
 
 

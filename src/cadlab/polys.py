@@ -32,16 +32,19 @@ computed it.  The basis is the same either way.
 ``Poly(...)`` is the one public constructor, and it validates every exponent
 tuple and coefficient.  Results built inside this module whose terms are valid
 by construction skip that pass through the private ``_adopt``: ``+``, ``-``,
-negation, ``*``, ``derivative``, ``substitute``, ``coeffs_in``,
-``coeff_of_power``, ``permute_vars``, ``normalized_with_sign``, ``divexact``
-and the ``zero``/``const``/``var`` builders.  Each keeps the invariant the
-public constructor establishes: exponent tuples of length ``nvars`` with no
-negative entry, no zero coefficient, and an ``int`` for every integral
-coefficient.  Arithmetic drops its zero sums as it goes, and where it can
-produce an integral ``Fraction`` (``+``, ``*``, ``derivative``,
-``substitute``, ``divexact``) one pass, ``_ints``, stores it as an ``int``.
+negation, ``*``, ``derivative``, ``substitute``, ``scaled_substitute``,
+``coeffs_in``, ``coeff_of_power``, ``permute_vars``, ``normalized_with_sign``,
+``divexact`` and the ``zero``/``const``/``var`` builders.  Each keeps the
+invariant the public constructor establishes: exponent tuples of length
+``nvars`` with no negative entry, no zero coefficient, and an ``int`` for every
+integral coefficient.  Arithmetic drops its zero sums as it goes, and where it
+can produce an integral ``Fraction`` (``+``, ``*``, ``derivative``,
+``divexact``) one pass, ``_ints``, stores it as an ``int``.
 A polynomial that is already canonical is its own normalized form, and
-``is_constant`` reads at most one term.
+``is_constant`` reads at most one term.  Rational substitution is one integer
+loop, :func:`_substituted`, giving the terms times a positive integer scale:
+``scaled_substitute`` keeps the scale (the lifting code's route), and
+``substitute`` and ``evaluate`` divide each term by it once.
 
 A ``Poly`` keeps its hash and its sort key (``_poly_sort_key``, the order of
 every emitted polynomial set) in slots, each computed on first use; both are
@@ -313,33 +316,23 @@ class Poly:
 
     def evaluate(self, assign: Mapping[int, Fraction | int]) -> Fraction:
         """Full evaluation; every occurring variable must be assigned."""
-        total = 0
-        for exps, c in self.terms.items():
-            term = c
-            for i, e in enumerate(exps):
-                if e:
-                    term *= _as_coeff(assign[i]) ** e
-            total += term
-        return Fraction(total)
+        return self.substitute(assign).constant_value()
 
     def substitute(self, assign: Mapping[int, Fraction | int]) -> Poly:
-        """Partial substitution of rational values; keeps the variable indexing."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            coeff = c
-            rest = list(exps)
-            for i, val in assign.items():
-                e = exps[i]
-                if e:
-                    coeff *= _as_coeff(val) ** e
-                rest[i] = 0
-            key = tuple(rest)
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _adopt(self.nvars, _ints(out))
+        """Partial substitution of rational values, the exact view of ``scaled_substitute``."""
+        terms, scale = _substituted(self, {i: _as_coeff(x).as_integer_ratio()
+                                           for i, x in assign.items()})
+        if scale != 1:
+            terms = {e: _as_coeff(Fraction(c, scale)) for e, c in terms.items()}
+        return _adopt(self.nvars, terms)
+
+    def scaled_substitute(self, pairs: Mapping[int, tuple[int, int]]) -> Poly:
+        """x_i = num_i/den_i (den_i > 0) substituted, times a positive integer scale.
+
+        The scale is at least 1: signs, zeros and roots are the substitution's,
+        and no nonzero value shrinks.  Integer arithmetic only.
+        """
+        return _adopt(self.nvars, _substituted(self, pairs)[0])
 
     def interval_eval(
         self, box: Mapping[int, tuple[Fraction, Fraction]]
@@ -461,6 +454,36 @@ def _adopt(nvars: int, terms: dict) -> Poly:
     _set_hash(p, None)
     _set_sort_key(p, None)
     return p
+
+
+def _substituted(p: Poly, pairs: Mapping[int, tuple[int, int]]) -> tuple[dict, int]:
+    """The terms of p at x_i = num_i/den_i (den_i > 0) times a positive scale, and the scale.
+
+    One homogeneous integer evaluation: the scale is the lcm of the
+    coefficients' denominators times den_i**deg_i(p) for each i, so a term
+    becomes an integer from one power table per variable.
+    """
+    cden = math.lcm(*(c.denominator for c in p.terms.values()))
+    scale, tables = cden, []
+    for i, (num, den) in pairs.items():
+        top = p.degree(i)
+        if top:
+            tables.append((i, [num**e * den ** (top - e) for e in range(top + 1)]))
+            scale *= den**top
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in p.terms.items():
+        t = c.numerator * (cden // c.denominator)
+        rest = list(e)
+        for i, table in tables:
+            t *= table[e[i]]
+            rest[i] = 0
+        key = tuple(rest)
+        s = out.get(key, 0) + t
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out, scale
 
 
 # -- exact division and pseudo-division ---------------------------------------

@@ -17,7 +17,7 @@ rational neighbours jump to the interval the halving rounds would reach.
 Inside this module a univariate polynomial is a dense list of ``int``
 coefficients, low to high, with content 1 (a positive rational multiple of the
 polynomial it stands for, so roots and signs are unchanged).  The list helpers
-(``dense_from_poly``, ``_primitive``, ``_canonical``, the integer PRS
+(``dense_from_poly``, ``_primitive``, the integer PRS
 ``_uni_gcd``, ``_div_exact``) live in :mod:`cadlab.dense`, which ``polys``
 shares for its univariate gcds.  Rationals enter once, at ``dense_from_poly``
 and the sequence inputs of :func:`isolate_real_roots` and :func:`sign_at`.
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .dense import (_canonical, _deriv, _div_exact, _interval_pow, _primitive, _strip, _uni_gcd,
+from .dense import (_deriv, _div_exact, _interval_pow, _primitive, _strip, _uni_gcd,
                     dense_from_poly)
 from .errors import checkpoint
 from .polys import Poly, _as_coeff
@@ -403,12 +403,12 @@ def isolate_real_roots(
     if isinstance(p, Poly):
         c = dense_from_poly(p, v)
     else:
-        c = _strip([_as_coeff(x) for x in p])
+        c = _primitive(_strip([_as_coeff(x) for x in p]))
     if not c:
         raise ValueError("identically zero")
     if len(c) == 1:
         return ()
-    c = _canonical(c)
+    c = [-x for x in c] if c[-1] < 0 else c
     if len(c) == 2 and max(-c[0], c[0], c[1]) <= _TRIAL_CAP * _TRIAL_CAP:
         # the divisor search would find exactly this root
         return (AlgebraicNumber.from_rational(Fraction(-c[0], c[1])),)

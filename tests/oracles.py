@@ -1,4 +1,5 @@
-"""Independent test oracles: Sylvester determinants, Sturm counts, Euclid gcd.
+"""Independent test oracles: Sylvester determinants, Sturm counts, Euclid gcd,
+substitution by a chain of ``Fraction`` products.
 
 Deliberately separate implementations from the package under test; nothing
 here imports the package's resultant/isolation code paths.
@@ -47,6 +48,20 @@ def _det(m: list[list[Poly]]) -> Poly:
         term = entry * _det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def fraction_substitute(p: Poly, assign: dict) -> Poly:
+    """p with x_i = assign[i], term by term in ``Fraction`` arithmetic."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in p.terms.items():
+        coeff = Fraction(c)
+        rest = list(exps)
+        for i, val in assign.items():
+            coeff *= Fraction(val) ** exps[i]
+            rest[i] = 0
+        key = tuple(rest)
+        out[key] = out.get(key, 0) + coeff
+    return Poly(p.nvars, out)
 
 
 def euclid_gcd_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -316,25 +316,29 @@ def _random_poly(rng, nvars, top):
     return Poly(nvars, terms)
 
 
-def _by_rest(terms, k):
-    """The terms of a polynomial free of x_0..x_{k-1}, keyed by the other exponents."""
-    return {e[k:]: c for e, c in terms.items()}
+def _outcome(f, *args):
+    """f(*args) as comparable data: the exact roots, or the exception's type."""
+    try:
+        return _exact(f(*args))
+    except (Nullified, ValueError) as e:
+        return type(e)
 
 
 class TestIntegerEvaluationOracle:
-    """_at_pairs against Poly.evaluate and Poly.substitute, and roots_above
-    and sign_at_point at all-rational samples against isolation of the
-    substituted polynomial."""
+    """Poly.scaled_substitute against the Fraction-chain substitution of
+    ``oracles``, and roots_above and sign_at_point at all-rational and mixed
+    samples against the exactly substituted polynomial."""
 
     def test_seeded_against_substitution(self):
         import random
 
-        from cadlab.algpoints import _at_pairs, _rational_pairs
-        from cadlab.dense import dense_from_poly
+        from cadlab.algpoints import _split_coords
         from cadlab.realroots import isolate_real_roots
+        from oracles import fraction_substitute
 
         rng = random.Random(1807)
         outcomes = set()
+        mixed_samples = 0
         for _ in range(300):
             k = rng.randint(0, 2)
             n = k + 2  # the lift variable x_k and one variable x_{k+1} beyond it
@@ -354,21 +358,38 @@ class TestIntegerEvaluationOracle:
                 cancelled = True
             if k and rng.random() < 0.1:
                 p = p + Poly.var(n, n - 1)  # x_{k+1} stays live
-            pairs = _rational_pairs(point)
+            rational, algebraic = _split_coords(point)
+            assert not algebraic
             assert all(d > 0 and num * q.denominator == q.numerator * d
-                       for (num, d), q in zip(pairs, values))
-            sub = p.substitute(assign)
-            got = _at_pairs(p, pairs)
-            want = _by_rest(sub.terms, k)
-            assert {e for e, c in got.items() if c} == set(want)
-            # one positive scale for every coefficient
-            ratios = {c / want[e] for e, c in got.items() if c}
-            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
-            # the terms in the point's variables alone: the sign Poly.evaluate gives
+                       for (num, d), q in zip(rational.values(), values))
+            # the scaled view on any set of variables, not only a prefix:
+            # integer terms, one common integer scale >= 1
+            chosen = {i: F(rng.randint(-5, 5), rng.randint(1, 4))
+                      for i in range(n) if rng.random() < 0.5}
+            scaled = p.scaled_substitute({i: (q.numerator, q.denominator)
+                                          for i, q in chosen.items()})
+            want = fraction_substitute(p, chosen)
+            assert set(scaled.terms) == set(want.terms)
+            assert all(type(c) is int for c in scaled.terms.values())
+            ratios = {F(c) / want.terms[e] for e, c in scaled.terms.items()}
+            assert len(ratios) <= 1 and all(r.denominator == 1 and r >= 1 for r in ratios)
+            # the terms in the point's variables alone: the sign of their value
             low = Poly(n, {e: c for e, c in p.terms.items() if not any(e[k:])})
-            value = low.evaluate(assign)
+            value = fraction_substitute(low, assign).constant_value()
             assert sign_at_point(low, point) == (value > 0) - (value < 0)
+            if k:
+                # a mixed sample: one coordinate algebraic, the others
+                # substituted exactly first give the same sign and roots
+                j = rng.randrange(k)
+                mixed = (*point[:j], rng.choice([SQRT2, SQRT3]), *point[j + 1:])
+                rest = {i: q for i, q in assign.items() if i != j}
+                exact = fraction_substitute(p, rest)
+                mixed_samples += 1
+                assert sign_at_point(low, mixed) == \
+                    sign_at_point(fraction_substitute(low, rest), mixed)
+                assert _outcome(roots_above, p, mixed, k) == _outcome(roots_above, exact, mixed, k)
             # the roots above, as isolation of the substituted polynomial gives them
+            sub = fraction_substitute(p, assign)
             if sub.is_zero():
                 outcomes.add("nullified")
                 with pytest.raises(Nullified):
@@ -382,13 +403,10 @@ class TestIntegerEvaluationOracle:
                     roots_above(p, point, k)
             else:
                 outcomes.add("x_{k+1} cancelled" if cancelled else "roots")
-                dense = [got.get((i, 0), 0) for i in range(sub.degree(k) + 1)]
-                ref = dense_from_poly(sub, k)
-                assert all(a * ref[-1] == b * dense[-1] for a, b in zip(dense, ref))
-                assert dense[-1] * ref[-1] > 0
                 assert _exact(roots_above(p, point, k)) == _exact(isolate_real_roots(sub, k))
         assert outcomes == {"nullified", "free of x_k", "x_{k+1} live", "x_{k+1} cancelled",
                             "roots"}
+        assert mixed_samples > 100
 
     def test_negative_lead_encoding(self):
         # (1, -2) encodes -2*v + 1 = 0, that is v = 1/2, where x is positive
@@ -424,6 +442,27 @@ class TestWorkAtRationalSamples:
         assert sign_at_point(circle, (*point, rat(0))) == -1
         assert len(roots_above(circle, point, 2)) == 2
         assert substitutions == []
+
+    def test_no_fraction_at_an_all_rational_sample(self, monkeypatch):
+        ellipsoid = Poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): Fraction(1, 2),
+                             (0, 0, 0): -1})
+        circle = Poly(2, {(2, 0): 1, (0, 2): 1, (0, 0): Fraction(-13, 36)})
+        point = (rat(F(1, 3)), rat(F(-1, 2)), rat(F(3, 4)))
+        made = []
+
+        def counting(inner):
+            def wrapper(*args, **kwargs):
+                made.append(args)
+                return inner(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+        if "_from_coprime_ints" in vars(Fraction):  # Python >= 3.12 builds results here too
+            monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                                classmethod(counting(Fraction._from_coprime_ints.__func__)))
+        assert sign_at_point(ellipsoid, point) == -1
+        assert sign_at_point(circle, point[:2]) == 0
+        assert made == []
 
     def test_rational_neighbours_separate_without_refine_steps(self, monkeypatch):
         from cadlab import realroots

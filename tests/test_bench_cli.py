@@ -276,3 +276,28 @@ class TestCli:
 
     def test_bad_order_is_usage_like_error(self, capsys):
         assert main(["cad", str(CORPUS / "circle.json"), "--order", "x,z"]) == 3
+
+    @pytest.mark.parametrize("command", [
+        ["parse", "{missing}"],
+        ["gen", "--seed", "1", "--count", "1", "--profile", "{missing}", "--out", "{tmp}/g"],
+        ["bench", "{missing}", "--out", "{tmp}/r.csv"],
+    ])
+    def test_a_missing_input_path_is_a_usage_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing"
+        argv = [a.format(missing=missing, tmp=tmp_path) for a in command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot read {missing}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_unwritable_report_path_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["bench", str(CORPUS), "--heuristics", "brown", "--no-build",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_a_designation_outside_ec_mode_is_refused(self, capsys):
+        assert main(["cad", str(CORPUS / "circle.json"), "--mode", "sign",
+                     "--designation", "5"]) == 3
+        assert capsys.readouterr().err == \
+            "error: a designation applies in EC mode only, not in mode 'sign'\n"

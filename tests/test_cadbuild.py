@@ -473,6 +473,12 @@ class TestEcReduced:
             _, n = evaluate_formula_on_cells(t, formula)
             assert n == 2
 
+    def test_designation_outside_ec_mode_is_refused(self):
+        formula = BoolOp("and", (Atom(CIRCLE, "="), Atom(CIRCLE2, "=")))
+        prob = Problem("two", ("x", "y"), formula=formula)
+        with pytest.raises(ValueError, match="EC mode only"):
+            build_cad(prob, XY, mode="sign", designation=0)
+
     def test_projection_levels_computed_once_per_designation(self, monkeypatch):
         # scoring steps every designation's projection through one memo, so
         # no (level set, level, EC) step runs twice, and the build lifts over

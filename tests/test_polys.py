@@ -19,7 +19,7 @@ from cadlab.polys import (
     squarefree_part,
     squarefree_primitive_basis,
 )
-from oracles import euclid_gcd_dense, sylvester_resultant
+from oracles import euclid_gcd_dense, fraction_substitute, sylvester_resultant
 
 X = Poly.var(2, 0)
 Y = Poly.var(2, 1)
@@ -429,6 +429,34 @@ class TestInternalResultsAreCanonical:
     def test_integral_fraction_product_is_stored_as_int(self):
         product = P({(1, 0): Fraction(2, 3)}) * P({(0, 1): Fraction(3, 2)})
         assert _typed(product) == {(1, 1): ("int", 1)}
+
+
+class TestSubstitute:
+    """Poly.substitute, the exact view of the one integer substitution loop,
+    against the Fraction-chain oracle."""
+
+    def test_seeded_against_the_fraction_chain(self):
+        rng = random.Random(2207)
+        cases = [(Poly.zero(3), {0: Fraction(1, 2)}),
+                 # x0*x1 - 2*x1 at x0 = 2: the only term cancels
+                 (Poly(3, {(1, 1, 0): 1, (0, 1, 0): -2}), {0: 2}),
+                 # 2/3*x0^2*x2 - 3/2*x2 + x1 at x0 = 3/2: the x2 terms cancel
+                 (Poly(3, {(2, 0, 1): Fraction(2, 3), (0, 0, 1): Fraction(-3, 2), (0, 1, 0): 1}),
+                  {0: Fraction(3, 2)})]
+        for _ in range(300):
+            terms = {tuple(rng.randint(0, 3) for _ in range(3)):
+                     Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+                     for _ in range(rng.randint(0, 6))}
+            assign = {i: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                      for i in range(3) if rng.random() < 0.5}
+            cases.append((Poly(3, terms), assign))
+        for p, assign in cases:
+            got = p.substitute(assign)
+            assert got == fraction_substitute(p, assign)
+            _assert_canonical(got)
+        assert cases[0][0].substitute(cases[0][1]).is_zero()
+        assert cases[1][0].substitute(cases[1][1]).is_zero()
+        assert cases[2][0].substitute(cases[2][1]) == Poly.var(3, 1)
 
 
 class TestNormalization:
