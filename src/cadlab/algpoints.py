@@ -5,13 +5,15 @@ variables 0..k-1 (callers relabel variables into lifting order first).  Two
 primitives drive the lifting phase:
 
 * :func:`sign_at_point`: exact sign of a polynomial at a sample.  Rational
-  coordinates are substituted outright, then one refinement loop decides:
-  it narrows every interval until the enclosure of the value excludes zero,
-  substitutes a coordinate that turns rational, and hands a last algebraic
-  coordinate to :func:`realroots.sign_at` (gcd certificate for zero).  After
-  a fixed number of undecided rounds it eliminates the coordinates from a
-  carrier z - p by resultants, from the top coordinate down; a lower bound
-  on the nonzero roots of that eliminant lets an enclosure certify zero.
+  coordinates are substituted outright, then one refinement loop,
+  ``_refined_sign``, decides for any number of live algebraic coordinates:
+  it narrows every interval until the integer enclosure of the value
+  (``Poly.interval_eval``) excludes zero, and substitutes a coordinate that
+  turns rational.  With one live coordinate, zero is certified by the gcd
+  with its defining polynomial.  With more, after a fixed number of
+  undecided rounds the loop eliminates the coordinates from a carrier
+  z - p by resultants, from the top coordinate down; a lower bound on the
+  nonzero roots of that eliminant lets an enclosure certify zero.
   A caller that knows the sample's section tower (for coordinate k, a
   polynomial E_k(x_0..x_k) vanishing at the sample's first k+1 coordinates
   with a leading coefficient in x_k nonzero at the first k) passes it, and
@@ -57,11 +59,11 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .dense import dense_from_poly
+from .dense import _uni_gcd, dense_from_poly
 from .errors import checkpoint
 from .polys import Poly, _resultant_any, _subresultant_prs, discriminant, divexact
 from .polys import primitive_part_in, squarefree_part
-from .realroots import AlgebraicNumber, _num_den, _sign_at, isolate_real_roots, sign_at
+from .realroots import AlgebraicNumber, _num_den, _sign_at, isolate_real_roots
 
 __all__ = ["sign_at_point", "roots_above", "Nullified"]
 
@@ -108,43 +110,55 @@ def sign_at_point(
 def _refined_sign(
     q: Poly,
     point: Sequence[AlgebraicNumber],
-    gap: Fraction | None = None,
+    gap: Fraction | int | None = None,
     tower: Tower | None = None,
 ) -> int:
     """Sign of q at the sample point; q has no variable beyond it.
 
     The rational coordinates are substituted first, scaled (a passed gap stays
-    valid).  Each round narrows every live interval.  A coordinate that turns
-    rational is substituted and the round count starts again.  After
-    ``_REFINE_ROUNDS_BEFORE_EXACT`` undecided rounds the root gap of the
-    eliminant of z - q is computed, unless the caller passed it: q(point) is a
-    root of that eliminant, so an enclosure inside (-gap, gap) certifies zero.
-    ``tower`` is passed on to :func:`_carrier`.
+    valid).  Each round takes the integer enclosure of ``Poly.interval_eval``
+    over the live intervals and narrows them.  A coordinate that turns
+    rational is substituted and the round count starts again.  Zero has one
+    certificate per case.  With one live coordinate alpha, on the first round
+    that the enclosure leaves undecided: gcd(defining, q) has at most one root
+    in alpha's interval, and it is there iff the gcd changes sign across it;
+    otherwise the value is nonzero, the gap is 0, and refinement decides.
+    With more, after ``_REFINE_ROUNDS_BEFORE_EXACT`` undecided rounds the root
+    gap of the eliminant of z - q is computed, unless the caller passed it:
+    q(point) is a root of that eliminant, so an enclosure inside (-gap, gap)
+    certifies zero.  ``tower`` is passed on to :func:`_carrier`.
     """
     rational, coords = _split_coords(point)
     if rational:
         q = q.scaled_substitute(rational)
     rounds = 0
     while True:
-        coords = {i: a for i, a in coords.items() if q.contains_var(i)}
-        if not coords:
-            val = next(iter(q.terms.values()), 0)
-            return (val > 0) - (val < 0)
-        if len(coords) == 1:
-            ((v, a),) = coords.items()
-            return sign_at(dense_from_poly(q, v), a)
+        if not rounds:
+            coords = {i: a for i, a in coords.items() if q.contains_var(i)}
+            if not coords:
+                val = next(iter(q.terms.values()), 0)
+                return (val > 0) - (val < 0)
         checkpoint()
-        lo, hi = q.interval_eval({i: (a.lo, a.hi) for i, a in coords.items()})
+        lo, hi, scale = q.interval_eval({i: (a.lo, a.hi) for i, a in coords.items()})
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        if gap is None and rounds == _REFINE_ROUNDS_BEFORE_EXACT:
+        if len(coords) == 1 and not rounds:
+            ((v, alpha),) = coords.items()
+            g = _uni_gcd(alpha.coeffs, dense_from_poly(q, v))
+            if len(g) > 1 and (_sign_at(g, alpha.lo) > 0) != (_sign_at(g, alpha.hi) > 0):
+                return 0
+            gap = 0
+        elif gap is None and rounds == _REFINE_ROUNDS_BEFORE_EXACT:
             gap = _root_gap(_carrier(q, point, tower)[0], q.nvars)
-        if gap is not None and -gap < lo and hi < gap:
-            return 0
+        if gap:
+            # lo / scale > -gap and hi / scale < gap, on integers
+            n, d = gap.numerator, gap.denominator
+            if -n * scale < lo * d and hi * d < n * scale:
+                return 0
         if rounds == _MAX_ROUNDS:
-            raise AssertionError("eliminant lost the sample value")
+            raise AssertionError("no enclosure decided the sign")
         rounds += 1
         coords = {i: a.refine_step() for i, a in coords.items()}
         rational = {i: _num_den(a.coeffs) for i, a in coords.items() if a.is_rational}

@@ -5,12 +5,10 @@ that returns a list returns a primitive ``int`` list (content 1): a positive
 rational multiple of the polynomial it stands for, so roots and signs are
 unchanged.  :func:`dense_from_poly` is the one conversion from a ``Poly``.
 
-``polys.poly_gcd`` runs univariate gcds through :func:`_uni_gcd`, and
+``polys.poly_gcd`` runs univariate gcds through :func:`_uni_gcd`,
 ``realroots`` builds root isolation and algebraic-number comparison on the
-same helpers.  The interval product and power on integer endpoints
-(:func:`_interval_mul`, :func:`_interval_pow`) serve both integer enclosures:
-``Poly.interval_eval`` and the dense one behind ``realroots.sign_at``.
-Nothing here floats.
+same helpers, and ``algpoints`` takes its one-coordinate zero certificate
+from the same gcd.  Nothing here floats.
 """
 
 from __future__ import annotations
@@ -114,20 +112,3 @@ def _div_exact(a: list[int], b: list[int]) -> list[int]:
             r[i + j] -= k * b[j]
     assert not any(r), "inexact dense division"
     return out
-
-
-# -- interval arithmetic on integer endpoints
-
-
-def _interval_mul(alo, ahi, blo, bhi):
-    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(products), max(products)
-
-
-def _interval_pow(lo, hi, e):
-    """The range of x**e over [lo, hi], for e >= 1."""
-    if e % 2 == 1 or lo >= 0:
-        return lo**e, hi**e
-    if hi <= 0:
-        return hi**e, lo**e
-    return 0, max(lo**e, hi**e)

@@ -5,11 +5,11 @@ Polynomials live in Q[x_0, ..., x_{n-1}].  A coefficient is stored as an
 ring operations run in integer arithmetic on integer polynomials (the common
 case); there is no floating point anywhere in this module.  Interval
 enclosures (``interval_eval``) take the same route: the box and the
-coefficients are cleared to common denominators and the interval products
-and sums run on ints, one positive scale divided out at the end.  Variables are
-plain integer indices into the problem's declared variable sequence, monomials
-are exponent tuples of length ``nvars``, and the canonical term order is
-graded lexicographic on the exponent tuple.
+coefficients are cleared to common denominators, and the interval products
+and sums run on ints over one positive scale, which the caller keeps.
+Variables are plain integer indices into the problem's declared variable
+sequence, monomials are exponent tuples of length ``nvars``, and the
+canonical term order is graded lexicographic on the exponent tuple.
 
 Besides ring arithmetic this module provides the kernels the projection and
 preconditioning layers consume: pseudo-division, and multivariate gcds,
@@ -32,7 +32,7 @@ computed it.  The basis is the same either way.
 ``Poly(...)`` is the one public constructor, and it validates every exponent
 tuple and coefficient.  Results built inside this module whose terms are valid
 by construction skip that pass through the private ``_adopt``: ``+``, ``-``,
-negation, ``*``, ``derivative``, ``substitute``, ``scaled_substitute``,
+negation, ``*``, ``derivative``, ``scaled_substitute``,
 ``coeffs_in``, ``coeff_of_power``, ``permute_vars``, ``normalized_with_sign``,
 ``divexact`` and the ``zero``/``const``/``var`` builders.  Each keeps the
 invariant the public constructor establishes: exponent tuples of length
@@ -42,9 +42,8 @@ can produce an integral ``Fraction`` (``+``, ``*``, ``derivative``,
 ``divexact``) one pass, ``_ints``, stores it as an ``int``.
 A polynomial that is already canonical is its own normalized form, and
 ``is_constant`` reads at most one term.  Rational substitution is one integer
-loop, :func:`_substituted`, giving the terms times a positive integer scale:
-``scaled_substitute`` keeps the scale (the lifting code's route), and
-``substitute`` and ``evaluate`` divide each term by it once.
+loop, ``scaled_substitute``: the substituted terms times a positive integer
+scale, which signs, zeros and roots do not see.
 
 A ``Poly`` keeps its hash and its sort key (``_poly_sort_key``, the order of
 every emitted polynomial set) in slots, each computed on first use; both are
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dense import _deriv, _interval_mul, _interval_pow, _uni_gcd, dense_from_poly
+from .dense import _deriv, _uni_gcd, dense_from_poly
 from .errors import checkpoint
 
 __all__ = [
@@ -82,7 +81,7 @@ def _as_coeff(c):
     """Coefficients stay plain ints whenever integral: ints share the Rational
     protocol (.numerator/.denominator) but multiply without gcd normalization,
     which dominates the cost of the big resultant chains otherwise."""
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
@@ -121,7 +120,7 @@ class Poly:
                 if c == 0:
                     continue
                 e = tuple(exps)
-                if len(e) != nvars or any(x < 0 for x in e):
+                if len(e) != nvars or any(type(x) is not int or x < 0 for x in e):
                     raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
                 clean[e] = c
         object.__setattr__(self, "nvars", nvars)
@@ -314,62 +313,81 @@ class Poly:
 
     # -- evaluation / substitution -------------------------------------------
 
-    def evaluate(self, assign: Mapping[int, Fraction | int]) -> Fraction:
-        """Full evaluation; every occurring variable must be assigned."""
-        return self.substitute(assign).constant_value()
-
-    def substitute(self, assign: Mapping[int, Fraction | int]) -> Poly:
-        """Partial substitution of rational values, the exact view of ``scaled_substitute``."""
-        terms, scale = _substituted(self, {i: _as_coeff(x).as_integer_ratio()
-                                           for i, x in assign.items()})
-        if scale != 1:
-            terms = {e: _as_coeff(Fraction(c, scale)) for e, c in terms.items()}
-        return _adopt(self.nvars, terms)
-
     def scaled_substitute(self, pairs: Mapping[int, tuple[int, int]]) -> Poly:
         """x_i = num_i/den_i (den_i > 0) substituted, times a positive integer scale.
 
         The scale is at least 1: signs, zeros and roots are the substitution's,
-        and no nonzero value shrinks.  Integer arithmetic only.
+        and no nonzero value shrinks.  One homogeneous integer evaluation: the
+        scale is the lcm of the coefficients' denominators times den_i**deg_i
+        for each i, so a term becomes an integer from one power table per
+        variable.
         """
-        return _adopt(self.nvars, _substituted(self, pairs)[0])
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        tables = []
+        for i, (num, den) in pairs.items():
+            top = self.degree(i)
+            if top:
+                tables.append((i, [num**e * den ** (top - e) for e in range(top + 1)]))
+        out: dict[tuple[int, ...], int] = {}
+        for e, c in self.terms.items():
+            t = c.numerator * (cden // c.denominator)
+            rest = list(e)
+            for i, table in tables:
+                t *= table[e[i]]
+                rest[i] = 0
+            key = tuple(rest)
+            s = out.get(key, 0) + t
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return _adopt(self.nvars, out)
 
     def interval_eval(
         self, box: Mapping[int, tuple[Fraction, Fraction]]
-    ) -> tuple[Fraction, Fraction]:
-        """Enclosure of the range over a box, by interval arithmetic on integers.
+    ) -> tuple[int, int, int]:
+        """Enclosure of the range over a box as ``(lo, hi, scale)``, integers:
+        rational interval arithmetic gives exactly [lo / scale, hi / scale].
 
-        The endpoints are scaled by their common denominator ``den`` and the
-        coefficients by theirs, and a term of total degree d by a further
-        den**(top - d), ``top`` the total degree, so every term carries one
-        positive scale.  Interval products and sums commute with a positive
-        scale: dividing it out at the end gives exactly the enclosure of
-        rational interval arithmetic, with no gcd normalization on the way.
+        The box covers every variable of the polynomial.  Its endpoints are
+        cleared to one denominator ``den`` and the coefficients to theirs, and
+        a term of total degree d carries a further den**(top - d), ``top`` the
+        total degree, so every term shares the positive ``scale``; interval
+        products and sums commute with it.
         """
-        den = math.lcm(*(x.denominator for pair in box.values() for x in pair))
-        cden = math.lcm(*(c.denominator for c in self.terms.values()))
-        top = self.total_degree()
+        den = 1
+        for a, b in box.values():
+            den = math.lcm(den, a.denominator, b.denominator)
         scaled = {i: (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
                   for i, (a, b) in box.items()}
-        den_pows = [den**k for k in range(top + 1)]
-        lo = hi = 0
+        cden = 1
+        for c in self.terms.values():
+            if type(c) is not int:
+                cden = math.lcm(cden, c.denominator)
+        # each term's degree d, integer coefficient and integer enclosure; the
+        # weights den**(top - d) wait for the total degree top
+        terms = []
+        top = 0
         for exps, c in self.terms.items():
-            tlo, thi = 1, 1
+            term = None
+            d = 0
             for i, e in enumerate(exps):
-                if not e:
-                    continue
-                a, b = scaled[i]
-                plo, phi = _interval_pow(a, b, e)
-                tlo, thi = _interval_mul(tlo, thi, plo, phi)
-            k = c.numerator * (cden // c.denominator) * den_pows[top - sum(exps)]
+                if e:
+                    d += e
+                    power = _interval_pow(*scaled[i], e)
+                    term = power if term is None else _interval_mul(*term, *power)
+            top = max(top, d)
+            terms.append((d, c.numerator * (cden // c.denominator), term or (1, 1)))
+        lo = hi = 0
+        for d, k, (tlo, thi) in terms:
+            k *= den ** (top - d)
             if k > 0:
                 lo += k * tlo
                 hi += k * thi
             else:
                 lo += k * thi
                 hi += k * tlo
-        scale = cden * den_pows[top]
-        return Fraction(lo, scale), Fraction(hi, scale)
+        return lo, hi, cden * den**top
 
     def permute_vars(self, perm: Sequence[int]) -> Poly:
         """Relabel variables: new variable j holds what perm[j] held before."""
@@ -456,34 +474,21 @@ def _adopt(nvars: int, terms: dict) -> Poly:
     return p
 
 
-def _substituted(p: Poly, pairs: Mapping[int, tuple[int, int]]) -> tuple[dict, int]:
-    """The terms of p at x_i = num_i/den_i (den_i > 0) times a positive scale, and the scale.
+# -- interval arithmetic on integer endpoints ------------------------------------
 
-    One homogeneous integer evaluation: the scale is the lcm of the
-    coefficients' denominators times den_i**deg_i(p) for each i, so a term
-    becomes an integer from one power table per variable.
-    """
-    cden = math.lcm(*(c.denominator for c in p.terms.values()))
-    scale, tables = cden, []
-    for i, (num, den) in pairs.items():
-        top = p.degree(i)
-        if top:
-            tables.append((i, [num**e * den ** (top - e) for e in range(top + 1)]))
-            scale *= den**top
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in p.terms.items():
-        t = c.numerator * (cden // c.denominator)
-        rest = list(e)
-        for i, table in tables:
-            t *= table[e[i]]
-            rest[i] = 0
-        key = tuple(rest)
-        s = out.get(key, 0) + t
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out, scale
+
+def _interval_mul(alo, ahi, blo, bhi):
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(products), max(products)
+
+
+def _interval_pow(lo, hi, e):
+    """The range of x**e over [lo, hi], for e >= 1."""
+    if e % 2 == 1 or lo >= 0:
+        return lo**e, hi**e
+    if hi <= 0:
+        return hi**e, lo**e
+    return 0, max(lo**e, hi**e)
 
 
 # -- exact division and pseudo-division ---------------------------------------

@@ -118,7 +118,7 @@ def _blocks(v: Any, var_names: tuple[str, ...]) -> tuple[QuantifierBlock, ...]:
 
 
 def _coeff(v: Any, path: str) -> Fraction:
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         try:
@@ -148,7 +148,7 @@ def _poly(v: Any, nv: int, path: str) -> Poly:
         if len(exps) != nv:
             raise JsonSchemaError(f"{tpath}/exps", f"expected {nv} exponents")
         for j, e in enumerate(exps):
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise JsonSchemaError(f"{tpath}/exps/{j}", "must be a non-negative integer")
         key = tuple(exps)
         if key in out:

@@ -20,7 +20,8 @@ polynomial it stands for, so roots and signs are unchanged).  The list helpers
 (``dense_from_poly``, ``_primitive``, the integer PRS
 ``_uni_gcd``, ``_div_exact``) live in :mod:`cadlab.dense`, which ``polys``
 shares for its univariate gcds.  Rationals enter once, at ``dense_from_poly``
-and the sequence inputs of :func:`isolate_real_roots` and :func:`sign_at`.
+and the sequence input of :func:`isolate_real_roots`.  Signs of other
+polynomials at an algebraic number are taken in :mod:`cadlab.algpoints`.
 Interval endpoints and sample values are ``Fraction``, but every midpoint,
 refined rational interval and ``from_rational`` endpoint is built from
 integer numerators and denominators with one normalization, not from a chain
@@ -36,8 +37,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .dense import (_deriv, _div_exact, _interval_pow, _primitive, _strip, _uni_gcd,
-                    dense_from_poly)
+from .dense import _deriv, _div_exact, _primitive, _strip, _uni_gcd, dense_from_poly
 from .errors import checkpoint
 from .polys import Poly, _as_coeff
 
@@ -47,7 +47,6 @@ __all__ = [
     "refine",
     "compare",
     "count_distinct_real_roots",
-    "sign_at",
     "merge_distinct",
 ]
 
@@ -286,68 +285,6 @@ def _centred(coeffs: tuple[int, ...], a: AlgebraicNumber, steps: int) -> Algebra
 
 def refine(a: AlgebraicNumber, width) -> AlgebraicNumber:
     return a.refine(width)
-
-
-def sign_at(u: Sequence, alpha: AlgebraicNumber) -> int:
-    """Exact sign of the univariate polynomial u at alpha.
-
-    The enclosure of u over alpha's given interval is tried first: a value
-    away from zero usually decides there.  Zero is certified through
-    gcd(defining, u): the gcd has a root in alpha's interval iff its
-    sign-variation count there is odd (it has at most one).  Other nonzero
-    signs come from interval refinement.  u holds int or Fraction
-    coefficients, low to high; any other coefficient raises the TypeError
-    that ``Poly(...)`` raises.
-    """
-    u = _primitive(_strip([_as_coeff(x) for x in u]))
-    if not u:
-        return 0
-    if alpha.is_rational:
-        return _sign_at(u, alpha.rational_value)
-    if len(u) == 1:
-        return 1 if u[0] > 0 else -1
-    a = alpha
-    while True:
-        checkpoint()
-        lo, hi = _interval_eval_dense(u, a.lo, a.hi)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if a is alpha:
-            # the given interval did not decide: certify zero before refining
-            g = _uni_gcd(alpha.coeffs, u)
-            if len(g) > 1:
-                sa, sb = _sign_at(g, alpha.lo), _sign_at(g, alpha.hi)
-                if sa == 0 or sb == 0:  # pragma: no cover - endpoints are non-roots of defining
-                    raise AssertionError("invalid isolating interval")
-                if sa != sb:
-                    return 0
-        a = a.refine_step()
-        if a.is_rational:
-            return _sign_at(u, a.rational_value)
-
-
-def _interval_eval_dense(u: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[int, int]:
-    """Enclosure of u over [lo, hi] times den**deg(u), den the endpoints'
-    common denominator: integer arithmetic, and the signs of the enclosure."""
-    den = math.lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    rlo = rhi = 0
-    scale = 1  # den**(deg(u) - i)
-    for i in range(len(u) - 1, -1, -1):
-        c = u[i]
-        if c:
-            plo, phi = _interval_pow(a, b, i) if i else (1, 1)
-            k = c * scale
-            if k > 0:
-                rlo += k * plo
-                rhi += k * phi
-            else:
-                rlo += k * phi
-                rhi += k * plo
-        scale *= den
-    return rlo, rhi
 
 
 def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:

@@ -2,7 +2,8 @@
 
 Supported: set-logic QF_NRA|NRA, declare-fun/declare-const of sort Real,
 assert over and/or/not with relations =, <, <=, >, >=, arithmetic +, -, *,
-integer and decimal literals, and / on numeric literals only.  Multiple
+SMT-LIB 2.6 numerals and decimals (``0``, ``12``, ``1.50``; a negative
+constant is ``(- 5)``), and / on numeric literals only.  Multiple
 asserts conjoin.  exists/forall binders are accepted for NRA when they form a
 prenex prefix.  Harmless script commands (set-info, set-option, check-sat,
 exit) are ignored.
@@ -10,6 +11,7 @@ exit) are ignored.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -297,10 +299,10 @@ def _term(b: _Builder, form: Any) -> Poly:
     raise _unsupported(head.text, head)
 
 
+# SMT-LIB 2.6 <numeral> (0, or a nonzero digit then digits) and <decimal>
+# (a numeral, a point, digits); any other token is a symbol
+_NUMERAL = re.compile(r"(0|[1-9][0-9]*)(\.[0-9]+)?")
+
+
 def _numeral(text: str) -> Fraction | None:
-    try:
-        if "." in text:
-            return Fraction(text)
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        return None
+    return Fraction(text) if _NUMERAL.fullmatch(text) else None

@@ -76,9 +76,7 @@ class TestRootsAbove:
         assert len(roots) == 2
         fourth_root = roots[1]
         # (2^(1/4))^4 == 2
-        from cadlab.realroots import sign_at
-
-        assert sign_at((-2, 0, 0, 0, 1), fourth_root) == 0
+        assert sign_at_point(Poly.from_dense(1, 0, (-2, 0, 0, 0, 1)), (fourth_root,)) == 0
 
     def test_no_real_roots_above(self):
         p = Poly(2, {(0, 2): 1, (1, 0): 1})  # y^2 + x over x = sqrt2
@@ -424,24 +422,20 @@ class TestIntegerEvaluationOracle:
 
 
 class TestWorkAtRationalSamples:
-    @pytest.fixture
-    def substitutions(self, monkeypatch):
-        calls = []
-        inner = Poly.substitute
+    def test_no_enclosure_at_an_all_rational_sample(self, monkeypatch):
+        enclosures = []
+        inner = Poly.interval_eval
 
-        def counting(self, assign):
-            calls.append(assign)
-            return inner(self, assign)
+        def counting(self, box):
+            enclosures.append(box)
+            return inner(self, box)
 
-        monkeypatch.setattr(Poly, "substitute", counting)
-        return calls
-
-    def test_no_substitution_at_an_all_rational_sample(self, substitutions):
+        monkeypatch.setattr(Poly, "interval_eval", counting)
         circle = Poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1})
         point = (rat(F(1, 3)), rat(F(-1, 2)))
         assert sign_at_point(circle, (*point, rat(0))) == -1
         assert len(roots_above(circle, point, 2)) == 2
-        assert substitutions == []
+        assert enclosures == []
 
     def test_no_fraction_at_an_all_rational_sample(self, monkeypatch):
         ellipsoid = Poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): Fraction(1, 2),

@@ -207,6 +207,16 @@ class TestPublicConstructorValidates:
         with pytest.raises(ValueError, match="exponent"):
             Poly(2, {(1, -1): 1})
 
+    @pytest.mark.parametrize("exps", [(1.5,), (True,), (2.0,)])
+    def test_non_integer_exponent(self, exps):
+        with pytest.raises(ValueError, match="exponent"):
+            Poly(1, {exps: 1})
+
+    @pytest.mark.parametrize("coeff", [True, False])
+    def test_bool_coefficient(self, coeff):
+        with pytest.raises(TypeError, match="rational"):
+            Poly(1, {(1,): coeff})
+
 
 # Fraction's private slots and constructors differ between the Python
 # versions CI runs (3.10 and 3.13)

@@ -417,7 +417,8 @@ class TestInternalResultsAreCanonical:
     def test_operations(self, a, b, value):
         p, q = Poly(3, a), Poly(3, b)
         results = [p + q, p - q, p - p, p * q, -p, p * value, p.derivative(0), p.derivative(2),
-                   p.substitute({0: value}), p.substitute({1: value, 2: -value}),
+                   p.scaled_substitute({0: value.as_integer_ratio()}),
+                   p.scaled_substitute({1: value.as_integer_ratio(), 2: (-value).as_integer_ratio()}),
                    *p.coeffs_in(1), p.coeff_of_power(0, 1), p.normalized(),
                    p.permute_vars((2, 0, 1)), Poly.const(3, value), Poly.zero(3)]
         if not q.is_zero():
@@ -432,8 +433,8 @@ class TestInternalResultsAreCanonical:
 
 
 class TestSubstitute:
-    """Poly.substitute, the exact view of the one integer substitution loop,
-    against the Fraction-chain oracle."""
+    """Poly.scaled_substitute, the one integer substitution loop, against the
+    Fraction-chain oracle: the oracle's terms times one integer scale >= 1."""
 
     def test_seeded_against_the_fraction_chain(self):
         rng = random.Random(2207)
@@ -450,13 +451,22 @@ class TestSubstitute:
             assign = {i: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                       for i in range(3) if rng.random() < 0.5}
             cases.append((Poly(3, terms), assign))
+        got = []
         for p, assign in cases:
-            got = p.substitute(assign)
-            assert got == fraction_substitute(p, assign)
-            _assert_canonical(got)
-        assert cases[0][0].substitute(cases[0][1]).is_zero()
-        assert cases[1][0].substitute(cases[1][1]).is_zero()
-        assert cases[2][0].substitute(cases[2][1]) == Poly.var(3, 1)
+            scaled = p.scaled_substitute({i: Fraction(x).as_integer_ratio() for i, x in assign.items()})
+            _assert_canonical(scaled)
+            exact = fraction_substitute(p, assign)
+            assert scaled.terms.keys() == exact.terms.keys(), (p, assign)
+            assert all(type(c) is int for c in scaled.terms.values())
+            scales = {Fraction(scaled.terms[e]) / exact.terms[e] for e in exact.terms}
+            assert len(scales) <= 1, (p, assign)
+            if scales:
+                (scale,) = scales
+                assert scale.denominator == 1 and scale >= 1, (p, assign)
+            got.append(scaled)
+        assert got[0].is_zero() and got[1].is_zero()
+        # x1 alone survives, times the scale lcm(3, 2) * 2**2
+        assert got[2] == Poly.var(3, 1) * 24
 
 
 class TestNormalization:
@@ -504,6 +514,13 @@ def _fraction_interval_eval(p: Poly, box) -> tuple:
     return lo, hi
 
 
+def _enclosure(p: Poly, box) -> tuple:
+    """``Poly.interval_eval``'s integer bounds divided by its scale."""
+    lo, hi, scale = p.interval_eval(box)
+    assert all(type(x) is int for x in (lo, hi, scale)) and scale >= 1
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
 class TestIntegerEnclosure:
     def test_matches_rational_interval_arithmetic_seeded(self):
         rng = random.Random(20261018)
@@ -523,7 +540,7 @@ class TestIntegerEnclosure:
                 # a fifth of the boxes are degenerate; the rest often straddle 0
                 width = 0 if rng.random() < 0.2 else Fraction(rng.randint(0, 20), rng.choice([1, 2, 5, 16]))
                 box[i] = (lo, lo + width)
-            assert p.interval_eval(box) == _fraction_interval_eval(p, box), (p, box)
+            assert _enclosure(p, box) == _fraction_interval_eval(p, box), (p, box)
 
     @pytest.mark.parametrize("box,expected", [
         ((Fraction(-3, 2), Fraction(1, 2)), (Fraction(-47, 8), Fraction(73, 16))),  # straddles 0
@@ -532,7 +549,7 @@ class TestIntegerEnclosure:
     ])
     def test_even_powers_over_pinned_boxes(self, box, expected):
         p = Poly(1, {(4,): 1, (2,): Fraction(-3, 2), (1,): 1, (0,): -1})  # x^4 - 3/2 x^2 + x - 1
-        assert p.interval_eval({0: box}) == _fraction_interval_eval(p, {0: box}) == expected
+        assert _enclosure(p, {0: box}) == _fraction_interval_eval(p, {0: box}) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -546,7 +563,7 @@ class TestIntegerEnclosure:
     def test_matches_rational_interval_arithmetic(self, terms, ends):
         p = Poly(2, terms)
         box = {0: tuple(sorted(ends[:2])), 1: tuple(sorted(ends[2:]))}
-        assert p.interval_eval(box) == _fraction_interval_eval(p, box)
+        assert _enclosure(p, box) == _fraction_interval_eval(p, box)
 
 
 # -- kernel shortcuts: terms and types recorded before the shortcuts existed ------

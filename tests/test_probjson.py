@@ -73,6 +73,17 @@ class TestSchemaErrors:
         with pytest.raises(JsonSchemaError, match="/polys/0/0/exps"):
             parse_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("term, pointer", [
+        ({"coeff": True, "exps": [1]}, "/polys/0/0/coeff"),
+        ({"coeff": 1, "exps": [True]}, "/polys/0/0/exps/0"),
+        ({"coeff": 1, "exps": [1.5]}, "/polys/0/0/exps/0"),
+    ])
+    def test_json_booleans_and_floats_rejected(self, term, pointer):
+        doc = {"name": "b", "vars": ["x"], "polys": [[term]]}
+        with pytest.raises(JsonSchemaError) as info:
+            parse_json(json.dumps(doc))
+        assert info.value.path == pointer
+
     def test_both_payloads_rejected(self):
         doc = dict(CIRCLE_DOC)
         doc["polys"] = []

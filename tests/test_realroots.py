@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cadlab.algpoints import sign_at_point
 from cadlab.polys import Poly
 from cadlab.dense import _div_exact
 from cadlab.realroots import (
@@ -24,9 +24,8 @@ from cadlab.realroots import (
     isolate_real_roots,
     merge_distinct,
     refine,
-    sign_at,
 )
-from oracles import sturm_count_all
+from oracles import euclid_gcd_dense, sturm_count_all, sturm_root_count
 
 
 def U(coeffs) -> Poly:
@@ -34,6 +33,7 @@ def U(coeffs) -> Poly:
 
 
 SQRT2 = AlgebraicNumber((-2, 0, 1), Fraction(1), Fraction(2))
+MINUS_SQRT2 = AlgebraicNumber((-2, 0, 1), Fraction(-2), Fraction(-1))
 
 
 class TestIsolate:
@@ -273,7 +273,7 @@ class TestPinnedIsolation:
         assert _exact(isolate_real_roots(scaled)) == _exact(roots)
         sign_s = 1 if s > 0 else -1
         for alpha in [*roots, SQRT2, AlgebraicNumber.from_rational(F(-1, 3))]:
-            assert sign_at(scaled, alpha) == sign_s * sign_at(c, alpha)
+            assert _sign(scaled, alpha) == sign_s * _sign(c, alpha)
 
 
 # linear inputs are solved directly up to _TRIAL_CAP**2 and bisected past it,
@@ -407,65 +407,129 @@ class TestCount:
             count_distinct_real_roots([Poly(2, {(1, 1): 1})])
 
 
+def _sign(u, alpha) -> int:
+    """The sign of u (coefficients low to high) at alpha, through the one sign loop."""
+    return sign_at_point(Poly.from_dense(1, 0, u), (alpha,))
+
+
+def _horner(c, x):
+    v = F(0)
+    for k in reversed(c):
+        v = v * x + k
+    return v
+
+
+def _oracle_sign(u, alpha) -> int:
+    """u's sign at alpha from the oracles alone: zero iff the Euclid gcd of u
+    and alpha's defining polynomial has a root in alpha's interval (Sturm);
+    otherwise bisect on the defining polynomial until u has no root left in
+    the closed interval, and read u's sign at its left end."""
+    d = [F(x) for x in alpha.coeffs]
+    lo, hi = alpha.lo, alpha.hi
+    g = euclid_gcd_dense(d, [F(x) for x in u])
+    if len(g) > 1 and sturm_root_count(g, lo, hi) > 0:
+        return 0
+    while sturm_root_count(u, lo, hi) > 0 or _horner(u, lo) == 0:
+        mid = (lo + hi) / 2
+        dm = _horner(d, mid)
+        if dm == 0:
+            lo = hi = mid
+            break
+        if (dm > 0) == (_horner(d, lo) > 0):
+            lo = mid
+        else:
+            hi = mid
+    value = _horner(u, lo)
+    return (value > 0) - (value < 0)
+
+
 class TestSignAt:
+    """Signs at one live algebraic coordinate: the enclosure, then the gcd
+    certificate for zero, then refinement, all in ``algpoints._refined_sign``."""
+
     def test_zero_via_gcd(self):
-        assert sign_at((-2, 0, 1), SQRT2) == 0
+        assert _sign((-2, 0, 1), SQRT2) == 0
 
     def test_nonzero(self):
-        assert sign_at((-3, 0, 2), SQRT2) > 0  # 2x^2-3 at sqrt2 -> 1
-        assert sign_at((1, -2), SQRT2) < 0  # 1-2x at sqrt2 < 0
+        assert _sign((-3, 0, 2), SQRT2) > 0  # 2x^2-3 at sqrt2 -> 1
+        assert _sign((1, -2), SQRT2) < 0  # 1-2x at sqrt2 < 0
 
     def test_rational_point(self):
         a = AlgebraicNumber.from_rational(Fraction(1, 2))
-        assert sign_at((-1, 2), a) == 0
-        assert sign_at((1, 2), a) > 0
-
-    def test_float_coefficient_rejected_like_poly(self):
-        with pytest.raises(TypeError, match="coefficient must be rational"):
-            sign_at((0.5, 1), SQRT2)
+        assert _sign((-1, 2), a) == 0
+        assert _sign((1, 2), a) > 0
 
     def test_enclosure_decides_before_the_gcd(self, monkeypatch):
-        from cadlab import realroots
+        from cadlab import algpoints
 
         gcds = []
-        inner = realroots._uni_gcd
+        inner = algpoints._uni_gcd
 
         def counting(a, b):
             gcds.append((a, b))
             return inner(a, b)
 
-        monkeypatch.setattr(realroots, "_uni_gcd", counting)
-        assert sign_at((1, -2), SQRT2) == -1  # 1 - 2x < 0 on all of (1, 2)
+        monkeypatch.setattr(algpoints, "_uni_gcd", counting)
+        assert _sign((1, -2), SQRT2) == -1  # 1 - 2x < 0 on all of (1, 2)
         assert gcds == []
-        assert sign_at((-2, 0, 1), SQRT2) == 0  # zero is still certified by the gcd
+        assert _sign((-2, 0, 1), SQRT2) == 0  # zero is still certified by the gcd
         assert len(gcds) == 1
 
-    def test_integer_enclosure_has_the_rational_signs(self):
-        from cadlab.realroots import _interval_eval_dense
+    def test_seeded_against_the_euclid_gcd_and_sturm_count(self):
+        rng = random.Random(2323)
+        # defining polynomials with known factors: x^2 - 2, x^2 - 3, x^3 - x - 1
+        # and their products, so a u can vanish at the roots of one factor only
+        factors = [[-2, 0, 1], [-3, 0, 1], [-1, -1, 0, 1]]
+        checked = zeros = 0
+        for _ in range(60):
+            chosen = rng.sample(factors, rng.randint(1, 2))
+            d = [1]
+            for f in chosen:
+                d = _mul(d, f)
+            for alpha in isolate_real_roots(d):
+                us = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))],
+                      # planted: a multiple of the defining polynomial
+                      _mul(list(alpha.coeffs), [rng.randint(1, 5), rng.randint(-3, 3)]),
+                      # planted: a multiple of one factor of it
+                      _mul(rng.choice(chosen), [rng.randint(-4, 4), rng.randint(1, 4)])]
+                for u in us:
+                    u = _trim(u)
+                    if not u:
+                        continue
+                    expected = _oracle_sign(u, alpha)
+                    assert _sign(u, alpha) == expected, (u, alpha)
+                    checked += 1
+                    zeros += expected == 0
+        assert checked > 200 and zeros > 50
 
-        def rational(u, lo, hi):
-            rlo = rhi = Fraction(0)
-            for i, c in enumerate(u):
-                if i == 0:
-                    plo = phi = Fraction(1)
-                elif i % 2 == 1 or lo >= 0:
-                    plo, phi = lo**i, hi**i
-                elif hi <= 0:
-                    plo, phi = hi**i, lo**i
-                else:
-                    plo, phi = Fraction(0), max(lo**i, hi**i)
-                rlo, rhi = (rlo + c * plo, rhi + c * phi) if c >= 0 else (rlo + c * phi, rhi + c * plo)
-            return rlo, rhi
+    def test_seeded_with_a_coordinate_turning_rational(self):
+        # x0 is 1/2 encoded as a root of (2x - 1)(x^2 - 2) in (0, 1): its first
+        # refinement step lands on 1/2, and one live coordinate x1 is left
+        half = AlgebraicNumber((2, -4, -1, 2), F(0), F(1))
+        rng = random.Random(2324)
+        for _ in range(40):
+            u = _trim([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]) or [1]
+            if rng.random() < 0.3:
+                u = _mul([-2, 0, 1], u)  # zero at both roots of x^2 - 2
+            for alpha in (SQRT2, MINUS_SQRT2):
+                # (2 x0 - 1) x1^3 + u(x1): its enclosure straddles 0 until x0 is 1/2
+                q = Poly(2, {(1, 3): 2, (0, 3): -1}) + Poly.from_dense(2, 1, u)
+                assert sign_at_point(q, (half, alpha)) == _oracle_sign(u, alpha), (u, alpha)
 
-        rng = random.Random(7)
-        for _ in range(2000):
-            u = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
-            lo = Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 64, 1024]))
-            hi = lo + Fraction(rng.randint(0, 30), rng.choice([1, 4, 7, 256]))
-            den = math.lcm(lo.denominator, hi.denominator)
-            scaled = _interval_eval_dense(u, lo, hi)
-            # the enclosure times den**deg(u), exactly
-            assert tuple(Fraction(x, den ** (len(u) - 1)) for x in scaled) == rational(u, lo, hi)
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
 
 def test_sturm_oracle_agreement_seeded():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from cadlab.errors import ParseError
@@ -95,6 +98,21 @@ class TestErrors:
     def test_undeclared_symbol(self):
         with pytest.raises(ParseError, match="undeclared symbol 'z'"):
             parse_smtlib("(set-logic QF_NRA)(assert (= z 0))")
+
+    @pytest.mark.parametrize("token, value", [
+        ("0", 0), ("5", 5), ("120", 120), ("0.5", Fraction(1, 2)), ("1.50", Fraction(3, 2)),
+        ("10.0", 10), ("1.5e3", None), ("+5", None), ("-5", None), ("1_000", None),
+        (".5", None), ("5.", None), ("007", None), ("0x1F", None),
+    ])
+    def test_only_smtlib_numerals_and_decimals_are_literals(self, token, value):
+        src = f"(set-logic QF_NRA)(declare-fun x () Real)\n(assert (= x {token}))"
+        if value is None:
+            # not a literal, so a symbol, and none is declared by that name
+            with pytest.raises(ParseError, match=f"undeclared symbol '{re.escape(token)}' at line 2"):
+                parse_smtlib(src)
+        else:
+            atom = parse_smtlib(src).formula
+            assert isinstance(atom, Atom) and atom.poly == Poly(1, {(1,): 1, (0,): -Fraction(value)})
 
     def test_positioned_syntax_error(self):
         with pytest.raises(ParseError, match="line 2"):
