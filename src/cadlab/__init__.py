@@ -18,13 +18,7 @@ from .probjson import emit_json, parse_json
 from .problem import Problem
 from .projection import mccallum_project, projection_levels, reduced_ec_project, sotd_value
 from .randgen import RandomProfile, random_problems
-from .realroots import (
-    AlgebraicNumber,
-    compare,
-    count_distinct_real_roots,
-    isolate_real_roots,
-    refine,
-)
+from .realroots import AlgebraicNumber, compare, count_distinct_real_roots, isolate_real_roots
 from .smtlib import parse_smtlib
 
 __all__ = [
@@ -39,7 +33,7 @@ __all__ = [
     "Problem",
     "mccallum_project", "projection_levels", "reduced_ec_project",
     "RandomProfile", "random_problems",
-    "AlgebraicNumber", "compare", "count_distinct_real_roots", "isolate_real_roots", "refine",
+    "AlgebraicNumber", "compare", "count_distinct_real_roots", "isolate_real_roots",
     "parse_smtlib",
 ]
 

@@ -42,17 +42,15 @@ __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_ful
 
 @dataclass
 class Cell:
-    """One CAD cell: positional index, exact sample point, and leaf signs.
+    """One CAD cell: positional index and exact sample point.
 
-    ``signs`` aligns with the tree's input polynomial list and is filled only
-    by :meth:`CADTree.ensure_signs` (leaf cells only); ``zero_polys`` indexes
-    the polynomials the cell's level lifted over (the stack's list) that
-    vanish on the cell, discovered during stack construction.
+    ``zero_polys`` indexes the polynomials the cell's level lifted over (the
+    stack's list) that vanish on the cell, discovered during stack
+    construction.  A leaf's input signs come from :meth:`CADTree.leaf_signs`.
     """
 
     index: tuple[int, ...]
     sample: tuple[AlgebraicNumber, ...]
-    signs: tuple[int, ...] | None = None
     zero_polys: frozenset[int] = frozenset()
 
     @property
@@ -138,13 +136,13 @@ class CADTree:
     """Leveled cell tree for one ordering; counts per level, leaves last.
 
     ``input_polys`` are the problem polynomials (original variable labels,
-    normalized); leaf signs align with them.  ``cell_count`` follows the
-    convention that a CAD of R^n has the leaf cells as its cells.
+    normalized); :meth:`leaf_signs` aligns with them.  ``cell_count``
+    follows the convention that a CAD of R^n has the leaf cells as its cells.
     ``_lifted[k]`` holds the polynomials lifted over at level k+1, the ones
     ``zero_polys`` indexes at that level (a designated level of an EC-mode
     tree lifts over its designated EC alone).  ``_signs_at`` maps (input,
-    ancestor index) to the input's sign on that ancestor's cells: leaf signs
-    and formula truth both sign through it.
+    ancestor index) to the input's sign on that ancestor's cells, the one
+    store that :meth:`leaf_signs` and formula truth both sign through.
     """
 
     ordering: VarOrdering
@@ -178,23 +176,10 @@ class CADTree:
             sizes[cell.index[:-1]] = sizes.get(cell.index[:-1], 0) + 1
         return [sizes[c.index] for c in self.levels[-2]]
 
-    def ensure_signs(self) -> None:
-        """Populate leaf signs for every input polynomial at the leaf samples.
-
-        An input whose highest variable is x_m has one sign on each cell of
-        level m+1 and every cell above it, so it is signed once per level-(m+1)
-        ancestor, at that ancestor's sample and through its section tower, and
-        every leaf above the ancestor reads that sign (for an input in the top
-        variable the ancestor is the leaf itself).  The sign is 0 with no
-        certificate when the input is, up to a rational factor, a polynomial
-        lifted over at level m+1 that the ancestor lists in its
-        ``zero_polys``; other zero signs are certified through the tower.
-        Signs that formula evaluation already found are read, not recomputed.
-        """
-        for leaf in self.levels[-1]:
-            if leaf.signs is None:
-                chain = self._chain(leaf)
-                leaf.signs = tuple(self._sign(j, chain) for j in range(len(self._relabeled_inputs)))
+    def leaf_signs(self, leaf: Cell) -> tuple[int, ...]:
+        """The input polynomials' signs on ``leaf``, in ``input_polys`` order."""
+        chain = self._chain(leaf)
+        return tuple(self._sign(j, chain) for j in range(len(self._relabeled_inputs)))
 
     @cached_property
     def _ancestors(self) -> dict[tuple[int, ...], Cell]:
@@ -220,7 +205,18 @@ class CADTree:
         return [self._ancestors[leaf.index[:j]] for j in range(1, leaf.level)] + [leaf]
 
     def _sign(self, j: int, chain: Sequence[Cell]) -> int:
-        """Input j's sign on ``chain``'s leaf, signed once per ancestor."""
+        """Input j's sign on ``chain``'s leaf, signed once per ancestor.
+
+        An input whose highest variable is x_m has one sign on each cell of
+        level m+1 and every cell above it, so it is signed once per level-(m+1)
+        ancestor, at that ancestor's sample and through its section tower, and
+        every leaf above the ancestor reads that sign from ``_signs_at`` (for
+        an input in the top variable the ancestor is the leaf itself).  The
+        sign is 0 with no certificate when the input is, up to a rational
+        factor, a polynomial lifted over at level m+1 that the ancestor lists
+        in its ``zero_polys``; other zero signs are certified through the
+        tower.
+        """
         m, i = self._where[j]
         cell = chain[m]
         s = self._signs_at.get((j, cell.index))
@@ -465,8 +461,8 @@ def evaluate_formula_on_cells(
     """Truth of the formula's matrix at every leaf sample, plus the true count.
 
     The formula's polynomials must be among the tree's input set.  Each
-    leaf signs only the atoms its truth needs.  Those signs go to the tree's
-    memo, not to ``Cell.signs``, which :meth:`CADTree.ensure_signs` fills.
+    leaf signs only the atoms its truth needs, through the tree's one sign
+    memo, which :meth:`CADTree.leaf_signs` reads too.
     """
     if not set(tree.input_polys).issuperset(atom_polys(formula)):
         raise ValueError("formula polynomial not in the tree's input set")

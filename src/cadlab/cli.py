@@ -108,6 +108,8 @@ def main(argv=None) -> int:
                 parser.error("--timeout must be a positive number of milliseconds")
             if args.jobs < 1:
                 parser.error("--jobs must be at least 1")
+        if args.command == "gen" and args.count < 0:
+            parser.error("--count must be at least 0")
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -188,11 +190,10 @@ def _cmd_cad(args) -> int:
     print(f"cell count: {tree.cell_count}")
     print(f"time_ms: {elapsed:.1f}")
     if args.tree:
-        tree.ensure_signs()
         for leaf in tree.leaves():
             idx = ",".join(map(str, leaf.index))
             sample = ", ".join(_show_coord(c) for c in leaf.sample)
-            signs = ",".join(_show_sign(s) for s in leaf.signs)
+            signs = ",".join(_show_sign(s) for s in tree.leaf_signs(leaf))
             print(f"  cell ({idx}) sample ({sample}) signs ({signs})")
     if args.evaluate:
         if problem.formula is None:

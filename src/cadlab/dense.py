@@ -24,14 +24,11 @@ if TYPE_CHECKING:
 __all__ = ["dense_from_poly"]
 
 
-def dense_from_poly(p: Poly, v: int | None = None) -> list[int]:
-    """Primitive integer coefficients of a positive multiple of a univariate p.
+def dense_from_poly(p: Poly, v: int) -> list[int]:
+    """Primitive integer coefficients of a positive multiple of p, in x_v.
 
-    Raises ValueError when p involves any variable other than v.
+    Raises ValueError when p involves any variable other than x_v.
     """
-    if v is None:
-        vs = p.variables()
-        v = vs[0] if vs else 0
     out = [0] * (p.degree(v) + 1)
     for exps, c in p.terms.items():
         k = exps[v]
@@ -71,10 +68,10 @@ def _uni_gcd(a: Sequence, b: Sequence) -> list[int]:
 
     Plain Euclidean remainders over Q suffer catastrophic coefficient growth
     on the big eliminants the lifting phase produces; stripping the integer
-    content after every pseudo-remainder keeps the chain tractable.
+    content after every pseudo-remainder keeps the chain tractable.  The
+    inputs need not be primitive: pseudo-division takes any integer lists.
     """
-    fa = _canonical(a)
-    fb = _canonical(b)
+    fa, fb = a, b
     while fb:
         checkpoint()
         fa, fb = fb, _primitive(_int_prem(fa, fb))

@@ -89,10 +89,6 @@ class Const(Formula):
     value: bool
 
 
-TRUE = Const(True)
-FALSE = Const(False)
-
-
 def conj(*args: Formula) -> Formula:
     return args[0] if len(args) == 1 else BoolOp("and", tuple(args))
 

@@ -100,6 +100,7 @@ def _vars(v: Any) -> tuple[str, ...]:
 def _blocks(v: Any, var_names: tuple[str, ...]) -> tuple[QuantifierBlock, ...]:
     blocks = _list(v, "/blocks")
     out = []
+    seen: set[str] = set()  # no variable may be quantified twice, in one block or two
     for i, b in enumerate(blocks):
         path = f"/blocks/{i}"
         if not isinstance(b, dict):
@@ -112,6 +113,9 @@ def _blocks(v: Any, var_names: tuple[str, ...]) -> tuple[QuantifierBlock, ...]:
         for j, n in enumerate(names):
             if n not in var_names:
                 raise JsonSchemaError(f"{path}/vars/{j}", f"undeclared variable {n!r}")
+            if n in seen:
+                raise JsonSchemaError(f"{path}/vars/{j}", f"variable {n!r} quantified twice")
+            seen.add(n)
             idx.append(var_names.index(n))
         out.append(QuantifierBlock(q, tuple(idx)))
     return tuple(out)

@@ -9,7 +9,7 @@ conjoined.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .formulas import Atom, Formula, conj
@@ -67,6 +67,8 @@ def _random_poly(rng: random.Random, profile: RandomProfile) -> Poly:
 
 def random_problems(seed: int, count: int, profile: RandomProfile) -> list[Problem]:
     """Deterministic sequence of problems; same seed, same problems."""
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     rng = random.Random(seed)
     out: list[Problem] = []
     for i in range(count):
@@ -83,19 +85,8 @@ def random_problems(seed: int, count: int, profile: RandomProfile) -> list[Probl
                 name=f"random-{seed}-{i:04d}",
                 var_names=_VAR_POOL[: profile.nvars],
                 formula=conj(*atoms),
-                metadata={
-                    "source": "random",
-                    "seed": seed,
-                    "index": i,
-                    "profile": {
-                        "nvars": profile.nvars,
-                        "npolys": profile.npolys,
-                        "max_degree": profile.max_degree,
-                        "max_terms": profile.max_terms,
-                        "coeff_range": profile.coeff_range,
-                        "equality_fraction": profile.equality_fraction,
-                    },
-                },
+                metadata={"source": "random", "seed": seed, "index": i,
+                          "profile": asdict(profile)},
             )
         )
     return out

@@ -17,11 +17,10 @@ rational neighbours jump to the interval the halving rounds would reach.
 Inside this module a univariate polynomial is a dense list of ``int``
 coefficients, low to high, with content 1 (a positive rational multiple of the
 polynomial it stands for, so roots and signs are unchanged).  The list helpers
-(``dense_from_poly``, ``_primitive``, the integer PRS
-``_uni_gcd``, ``_div_exact``) live in :mod:`cadlab.dense`, which ``polys``
-shares for its univariate gcds.  Rationals enter once, at ``dense_from_poly``
-and the sequence input of :func:`isolate_real_roots`.  Signs of other
-polynomials at an algebraic number are taken in :mod:`cadlab.algpoints`.
+(``dense_from_poly``, ``_deriv``, the integer PRS ``_uni_gcd``,
+``_div_exact``) live in :mod:`cadlab.dense`, which ``polys`` shares for its
+univariate gcds.  Rationals enter once, at ``dense_from_poly``.  Signs of
+other polynomials at an algebraic number are taken in :mod:`cadlab.algpoints`.
 Interval endpoints and sample values are ``Fraction``, but every midpoint,
 refined rational interval and ``from_rational`` endpoint is built from
 integer numerators and denominators with one normalization, not from a chain
@@ -37,14 +36,13 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .dense import _deriv, _div_exact, _primitive, _strip, _uni_gcd, dense_from_poly
+from .dense import _deriv, _div_exact, _uni_gcd, dense_from_poly
 from .errors import checkpoint
 from .polys import Poly, _as_coeff
 
 __all__ = [
     "AlgebraicNumber",
     "isolate_real_roots",
-    "refine",
     "compare",
     "count_distinct_real_roots",
     "merge_distinct",
@@ -246,8 +244,8 @@ class AlgebraicNumber:
             a = a.refine_step()
         return a
 
-    def approx(self, width=Fraction(1, 1 << 24)) -> float:
-        a = self.refine(width)
+    def approx(self) -> float:
+        a = self.refine(Fraction(1, 1 << 24))
         return float((a.lo + a.hi) / 2)
 
     def __repr__(self) -> str:
@@ -281,10 +279,6 @@ def _centred(coeffs: tuple[int, ...], a: AlgebraicNumber, steps: int) -> Algebra
     scale = wd << (steps + 1)
     return AlgebraicNumber(coeffs, Fraction(num * scale - den * wn, den * scale),
                            Fraction(num * scale + den * wn, den * scale))
-
-
-def refine(a: AlgebraicNumber, width) -> AlgebraicNumber:
-    return a.refine(width)
 
 
 def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
@@ -328,19 +322,13 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         y = y.refine_step()
 
 
-def isolate_real_roots(
-    p: Poly | Sequence, v: int | None = None
-) -> tuple[AlgebraicNumber, ...]:
+def isolate_real_roots(p: Poly, v: int) -> tuple[AlgebraicNumber, ...]:
     """All distinct real roots of p (via its square-free part), sorted, as a tuple.
 
-    Accepts a univariate Poly or a dense coefficient sequence (int or
-    Fraction coefficients, low to high; any other raises the TypeError that
-    ``Poly(...)`` raises).  Raises ValueError on the zero polynomial.
+    p must be univariate in x_v (else the ValueError of ``dense_from_poly``).
+    Raises ValueError on the zero polynomial.
     """
-    if isinstance(p, Poly):
-        c = dense_from_poly(p, v)
-    else:
-        c = _primitive(_strip([_as_coeff(x) for x in p]))
+    c = dense_from_poly(p, v)
     if not c:
         raise ValueError("identically zero")
     if len(c) == 1:
@@ -455,8 +443,8 @@ def _separated(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[AlgebraicNumber,
     return _centred(a.coeffs, a, k), _centred(b.coeffs, b, k)
 
 
-def count_distinct_real_roots(A: Iterable[Poly], v: int | None = None) -> int:
-    """Number of distinct real roots of the union of a univariate set."""
+def count_distinct_real_roots(A: Iterable[Poly], v: int) -> int:
+    """Number of distinct real roots of the union of a set univariate in x_v."""
     roots: list[AlgebraicNumber] = []
     for p in A:
         if p.is_zero() or p.is_constant():

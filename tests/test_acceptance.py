@@ -60,9 +60,8 @@ def test_criterion_1_circle_pin(capsys):
     tree = build_cad(problem, XY)
     assert tree.cell_count == 13
     assert tree.stack_sizes() == [1, 3, 5, 3, 1]
-    tree.ensure_signs()
     for leaf in tree.leaves():
-        assert leaf.signs[0] == CIRCLE_TREE_SIGNS[leaf.index]
+        assert tree.leaf_signs(leaf)[0] == CIRCLE_TREE_SIGNS[leaf.index]
         expected = CIRCLE_TREE_SAMPLES[leaf.index]
         for coord, value in zip(leaf.sample, expected):
             assert coord.is_rational and coord.rational_value == value

@@ -164,9 +164,8 @@ class TestThreeVarBuild:
         # level-1 set {x^2-2, x}: 7 cells; level 2 adds roots of y^2-3 and x*y
         # (x*y nullifies over the 0-dimensional base x=0): 7*6+5 = 47
         assert tree.counts == (7, 47, 141)
-        tree.ensure_signs()
         zeros = [
-            sum(1 for leaf in tree.leaves() if leaf.signs[i] == 0) for i in range(3)
+            sum(1 for leaf in tree.leaves() if tree.leaf_signs(leaf)[i] == 0) for i in range(3)
         ]
         # x^2-2 vanishes on every leaf above x = +-sqrt2; z^2 = xy has two
         # sections wherever xy > 0 and one at xy = 0

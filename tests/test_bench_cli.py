@@ -34,6 +34,10 @@ class TestRandGen:
     def test_count_zero(self):
         assert random_problems(1, 0, RandomProfile()) == []
 
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match="count must be at least 0"):
+            random_problems(1, -3, RandomProfile())
+
     def test_bad_profile(self):
         with pytest.raises(ValueError):
             RandomProfile(nvars=0)
@@ -262,6 +266,23 @@ class TestCli:
         assert main(["bench", str(CORPUS), "--out", str(out), "--jobs", jobs]) == 1
         assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gen_rejects_a_negative_count(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main(["gen", "--seed", "1", "--count", "-3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "cadlab: error: --count must be at least 0"]
+        assert not out.exists()
+
+    def test_a_variable_quantified_twice_is_a_parse_error(self, tmp_path, capsys):
+        doc = json.loads((CORPUS / "circle.json").read_text())
+        doc["blocks"] = [{"quantifier": "exists", "vars": ["y", "y"]}]
+        f = tmp_path / "twice.json"
+        f.write_text(json.dumps(doc))
+        assert main(["parse", str(f)]) == 2
+        assert capsys.readouterr().err == \
+            "parse error: /blocks/0/vars/1: variable 'y' quantified twice\n"
 
     def test_exit_code_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.smt2"

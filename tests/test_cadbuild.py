@@ -114,7 +114,7 @@ class TestRootMerge:
 
     @pytest.mark.parametrize("swap", [False, True], ids=["p_first", "q_first"])
     def test_equal_roots_merge_into_the_rational_encoding(self, swap):
-        assert not any(r.is_rational for r in isolate_real_roots(self.P_CAPPED))
+        assert not any(r.is_rational for r in isolate_real_roots(self.P_CAPPED, 0))
         polys = [self.Q_LINEAR, self.P_CAPPED] if swap else [self.P_CAPPED, self.Q_LINEAR]
         stack = build_stack(Cell((), ()), polys)
         assert [c.index for c in stack.cells] == [(i,) for i in range(1, 8)]
@@ -144,9 +144,8 @@ class TestBuildCad:
         tree = build_cad(prob, XY)
         assert tree.cell_count == 13
         assert tree.stack_sizes() == [1, 3, 5, 3, 1]
-        tree.ensure_signs()
         # sign table of the printed tree: zero exactly on the four sections
-        signs = {leaf.index: leaf.signs[0] for leaf in tree.leaves()}
+        signs = {leaf.index: tree.leaf_signs(leaf)[0] for leaf in tree.leaves()}
         assert signs[(3, 3)] == -1
         for idx in [(2, 2), (3, 2), (3, 4), (4, 2)]:
             assert signs[idx] == 0
@@ -178,13 +177,12 @@ class TestBuildCad:
         tree = build_cad([a, b], XY)
         assert tree.cell_count == 21
         assert tree.stack_sizes() == [1, 1, 1, 3, 5, 5, 5]
-        tree.ensure_signs()
         ia = tree.input_polys.index(a)
         ib = tree.input_polys.index(b)
         for leaf in tree.leaves():
             # x^2-2 vanishes exactly on the two algebraic section columns
-            assert (leaf.signs[ia] == 0) == (leaf.index[0] in (2, 6))
-        zeros_b = sum(1 for leaf in tree.leaves() if leaf.signs[ib] == 0)
+            assert (tree.leaf_signs(leaf)[ia] == 0) == (leaf.index[0] in (2, 6))
+        zeros_b = sum(1 for leaf in tree.leaves() if tree.leaf_signs(leaf)[ib] == 0)
         # (0,0) plus two parabola sections over each positive-x column
         assert zeros_b == 7
 
@@ -211,12 +209,11 @@ class TestInvariants:
 
     def test_sign_invariance_spot_check(self):
         tree = build_cad([CIRCLE, CIRCLE2], XY)
-        tree.ensure_signs()
         from cadlab.algpoints import sign_at_point
 
         for leaf in tree.leaves():
             for j, p in enumerate(tree._relabeled_inputs):
-                assert leaf.signs[j] == sign_at_point(p, leaf.sample)
+                assert tree.leaf_signs(leaf)[j] == sign_at_point(p, leaf.sample)
 
     def test_univariate_oracle_seeded(self):
         # acceptance criterion: cells = 2*roots + 1 on 200 random univariate problems
@@ -229,7 +226,7 @@ class TestInvariants:
             if p.is_zero() or p.is_constant():
                 continue
             tree = build_cad([p], VarOrdering((0,)))
-            expected = 2 * count_distinct_real_roots([p]) + 1
+            expected = 2 * count_distinct_real_roots([p], 0) + 1
             assert tree.cell_count == expected
             done += 1
 
@@ -268,12 +265,12 @@ class TestSignVectorAgreement:
             try:
                 ta = build_cad(polys, XY)
                 tb = build_cad(polys, YX)
-                ta.ensure_signs()
-                tb.ensure_signs()
+                signs_a = {ta.leaf_signs(leaf) for leaf in ta.leaves()}
+                signs_b = {tb.leaf_signs(leaf) for leaf in tb.leaves()}
             except NotWellOrientedError:
                 continue
             assert ta.input_polys == tb.input_polys
-            assert {l.signs for l in ta.leaves()} == {l.signs for l in tb.leaves()}
+            assert signs_a == signs_b
             checked += 1
         assert checked >= 15
 
@@ -353,10 +350,9 @@ class TestEvaluate:
         canonical = Atom.canonical
         monkeypatch.setattr(Atom, "canonical", lambda a: calls.append(a) or canonical(a))
         truths, n = evaluate_formula_on_cells(tree, formula)
-        tree.ensure_signs()
         expected = []
         for leaf in tree.leaves():
-            sign_of = dict(zip(tree.input_polys, leaf.signs))
+            sign_of = dict(zip(tree.input_polys, tree.leaf_signs(leaf)))
             expected.append(not (sign_of[CIRCLE] > 0 and sign_of[CIRCLE2] != 0))
         assert truths == expected and n == sum(expected)
         assert 0 < n < len(truths)
@@ -406,19 +402,15 @@ class TestDemandDrivenTruth:
             except NotWellOrientedError:
                 continue
             reference = build_cad(prob, self.XYZ, mode=mode)
-            reference.ensure_signs()
+            reference_signs = [reference.leaf_signs(leaf) for leaf in reference.leaves()]
             for formula in _mixed_formulas(prob):
                 truths, n = evaluate_formula_on_cells(tree, formula)
-                expected = [_full_sign_truth(formula, dict(zip(reference.input_polys, leaf.signs)))
-                            for leaf in reference.leaves()]
+                expected = [_full_sign_truth(formula, dict(zip(reference.input_polys, s)))
+                            for s in reference_signs]
                 assert truths == expected and n == sum(expected), prob.name
                 checked += 1
-            # evaluation leaves Cell.signs alone; the signs it found are the
-            # ones ensure_signs reads back
-            assert all(leaf.signs is None for leaf in tree.leaves())
-            tree.ensure_signs()
-            assert [leaf.signs for leaf in tree.leaves()] == [
-                leaf.signs for leaf in reference.leaves()]
+            # the signs evaluation found are the ones leaf_signs reads back
+            assert [tree.leaf_signs(leaf) for leaf in tree.leaves()] == reference_signs
         assert checked >= 60
 
     def test_designated_sector_leaves_cost_no_sign(self, monkeypatch):

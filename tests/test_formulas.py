@@ -200,12 +200,11 @@ class TestEcImplication:
         tree = build_cad(prob, XY)
         truths, n = evaluate_formula_on_cells(tree, formula)
         assert n >= 1
-        tree.ensure_signs()
         index_of = {p: i for i, p in enumerate(tree.input_polys)}
         for leaf, holds in zip(tree.leaves(), truths):
             if holds:
                 for e in ecs:
-                    assert leaf.signs[index_of[e]] == 0
+                    assert tree.leaf_signs(leaf)[index_of[e]] == 0
 
 
 class TestCardinality:

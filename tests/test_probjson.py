@@ -111,6 +111,17 @@ class TestSchemaErrors:
         with pytest.raises(JsonSchemaError, match="/blocks/0/vars/0"):
             parse_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("blocks, pointer", [
+        ([{"quantifier": "exists", "vars": ["y", "y"]}], "/blocks/0/vars/1"),
+        ([{"quantifier": "exists", "vars": ["y"]},
+          {"quantifier": "forall", "vars": ["x", "y"]}], "/blocks/1/vars/1"),
+    ])
+    def test_variable_quantified_twice(self, blocks, pointer):
+        doc = dict(CIRCLE_DOC)
+        doc["blocks"] = blocks
+        with pytest.raises(JsonSchemaError, match=f"^{pointer}: variable 'y' quantified twice$"):
+            parse_json(json.dumps(doc))
+
     def test_invalid_json(self):
         with pytest.raises(JsonSchemaError, match="invalid JSON"):
             parse_json("{not json")

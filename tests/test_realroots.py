@@ -23,13 +23,12 @@ from cadlab.realroots import (
     count_distinct_real_roots,
     isolate_real_roots,
     merge_distinct,
-    refine,
 )
 from oracles import euclid_gcd_dense, sturm_count_all, sturm_root_count
 
 
 def U(coeffs) -> Poly:
-    return Poly(1, {(i,): c for i, c in enumerate(coeffs)})
+    return Poly.from_dense(1, 0, coeffs)
 
 
 SQRT2 = AlgebraicNumber((-2, 0, 1), Fraction(1), Fraction(2))
@@ -38,17 +37,17 @@ MINUS_SQRT2 = AlgebraicNumber((-2, 0, 1), Fraction(-2), Fraction(-1))
 
 class TestIsolate:
     def test_factorable(self):
-        roots = isolate_real_roots(U([-1, 0, 1]))  # x^2 - 1
+        roots = isolate_real_roots(U([-1, 0, 1]), 0)  # x^2 - 1
         assert len(roots) == 2
         vals = [r.rational_value for r in roots]
         assert vals == [Fraction(-1), Fraction(1)]
 
     def test_no_real_roots(self):
-        assert len(isolate_real_roots(U([1, 0, 1]))) == 0
+        assert len(isolate_real_roots(U([1, 0, 1]), 0)) == 0
 
     def test_cubic_with_zero_root(self):
         # x^3 - 2x: roots -sqrt2, 0, sqrt2 (signs checked at -2,-1,1,2)
-        roots = list(isolate_real_roots(U([0, -2, 0, 1])))
+        roots = list(isolate_real_roots(U([0, -2, 0, 1]), 0))
         assert len(roots) == 3
         assert roots[1].is_rational and roots[1].rational_value == 0
         assert roots[0].lo > -2 and roots[0].hi < 0
@@ -58,28 +57,28 @@ class TestIsolate:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError, match="identically zero"):
-            isolate_real_roots(Poly.zero(1))
+            isolate_real_roots(Poly.zero(1), 0)
 
     def test_float_coefficient_rejected_like_poly(self):
         # Fraction(0.5) is exact, but a float is no rational coefficient
         with pytest.raises(TypeError, match="coefficient must be rational"):
-            isolate_real_roots([0.5, 1])
+            isolate_real_roots(U([0.5, 1]), 0)
 
     def test_multiplicities_collapse(self):
-        roots = isolate_real_roots(U([1, -2, 1]))  # (x-1)^2
+        roots = isolate_real_roots(U([1, -2, 1]), 0)  # (x-1)^2
         assert len(roots) == 1
         assert roots[0].rational_value == 1
 
     def test_intervals_disjoint_and_sorted(self):
-        roots = list(isolate_real_roots(U([0, -2, 0, 1])))
+        roots = list(isolate_real_roots(U([0, -2, 0, 1]), 0))
         for a, b in zip(roots, roots[1:]):
             assert a.hi <= b.lo
 
     def test_product_merges(self):
         p = U([-1, 0, 1])  # x^2-1
         q = U([-2, 0, 1])  # x^2-2
-        merged = merge_distinct(list(isolate_real_roots(p)) + list(isolate_real_roots(q)))
-        prod = isolate_real_roots(p * q)
+        merged = merge_distinct(list(isolate_real_roots(p, 0)) + list(isolate_real_roots(q, 0)))
+        prod = isolate_real_roots(p * q, 0)
         assert len(merged) == len(prod) == 4
         for a, b in zip(merged, prod):
             assert compare(a, b) == 0
@@ -87,18 +86,18 @@ class TestIsolate:
 
 class TestRefine:
     def test_sqrt2_narrow(self):
-        a = refine(SQRT2, Fraction(1, 8))
+        a = SQRT2.refine(Fraction(1, 8))
         assert a.width() <= Fraction(1, 8)
         assert Fraction(11, 8) <= a.lo and a.hi <= Fraction(3, 2)
 
     def test_rational_stays(self):
         a = AlgebraicNumber.from_rational(Fraction(1, 2))
-        b = refine(a, Fraction(1, 1000))
+        b = a.refine(Fraction(1, 1000))
         assert b.lo < Fraction(1, 2) < b.hi
         assert b.width() <= Fraction(1, 1000)
 
     def test_huge_width_noop_or_narrower(self):
-        b = refine(SQRT2, 100)
+        b = SQRT2.refine(100)
         assert b.width() <= SQRT2.width()
         assert compare(b, SQRT2) == 0
 
@@ -106,7 +105,7 @@ class TestRefine:
         a = SQRT2
         b = AlgebraicNumber.from_rational(Fraction(3, 2))
         before = compare(a, b)
-        assert compare(refine(a, Fraction(1, 1 << 20)), refine(b, Fraction(1, 1 << 20))) == before
+        assert compare(a.refine(Fraction(1, 1 << 20)), b.refine(Fraction(1, 1 << 20))) == before
 
 
 class TestFromRational:
@@ -210,7 +209,7 @@ class TestCompare:
             if all(x == 0 for x in c):
                 continue
             try:
-                pool.extend(isolate_real_roots(U(c)))
+                pool.extend(isolate_real_roots(U(c), 0))
             except ValueError:
                 pass
         for _ in range(200):
@@ -259,8 +258,7 @@ PINNED = [
 class TestPinnedIsolation:
     @pytest.mark.parametrize("coeffs, expected", PINNED)
     def test_intervals_are_pinned(self, coeffs, expected):
-        assert _exact(isolate_real_roots(coeffs)) == expected
-        assert _exact(isolate_real_roots(U(coeffs))) == expected
+        assert _exact(isolate_real_roots(U(coeffs), 0)) == expected
 
     @given(
         st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1] != 0),
@@ -268,9 +266,9 @@ class TestPinnedIsolation:
     )
     @settings(max_examples=60, deadline=None)
     def test_rational_multiples_isolate_alike(self, c, s):
-        roots = isolate_real_roots(c)
+        roots = isolate_real_roots(U(c), 0)
         scaled = [s * x for x in c]
-        assert _exact(isolate_real_roots(scaled)) == _exact(roots)
+        assert _exact(isolate_real_roots(U(scaled), 0)) == _exact(roots)
         sign_s = 1 if s > 0 else -1
         for alpha in [*roots, SQRT2, AlgebraicNumber.from_rational(F(-1, 3))]:
             assert _sign(scaled, alpha) == sign_s * _sign(c, alpha)
@@ -289,7 +287,7 @@ LINEAR = [
 
 @pytest.mark.parametrize("coeffs, expected", LINEAR)
 def test_linear_factors_and_the_trial_cap(coeffs, expected):
-    assert _exact(isolate_real_roots(coeffs)) == expected
+    assert _exact(isolate_real_roots(U(coeffs), 0)) == expected
 
 
 def test_sympy_oracle_agreement_seeded():
@@ -302,7 +300,7 @@ def test_sympy_oracle_agreement_seeded():
             # plant a rational root num/den
             num, den = rng.randint(-6, 6), rng.randint(1, 4)
             c = [a * den - b * num for a, b in zip([0] + c, c + [0])]
-        ours = list(isolate_real_roots(c))
+        ours = list(isolate_real_roots(U(c), 0))
         theirs = sympy.real_roots(sympy.Poly(list(reversed(c)), x))
         distinct = list(dict.fromkeys(theirs))
         assert len(ours) == len(distinct), c
@@ -394,17 +392,23 @@ class TestRationalRootSearch:
 
 class TestCount:
     def test_union(self):
-        assert count_distinct_real_roots([U([-1, 0, 1]), U([0, 1])]) == 3
+        assert count_distinct_real_roots([U([-1, 0, 1]), U([0, 1])], 0) == 3
 
     def test_shared_root(self):
-        assert count_distinct_real_roots([U([-1, 0, 1]), U([-1, 1])]) == 2
+        assert count_distinct_real_roots([U([-1, 0, 1]), U([-1, 1])], 0) == 2
 
     def test_no_roots(self):
-        assert count_distinct_real_roots([U([1, 0, 1])]) == 0
+        assert count_distinct_real_roots([U([1, 0, 1])], 0) == 0
 
     def test_not_univariate(self):
         with pytest.raises(ValueError, match="univariate"):
-            count_distinct_real_roots([Poly(2, {(1, 1): 1})])
+            count_distinct_real_roots([Poly(2, {(1, 1): 1})], 0)
+
+    def test_roots_on_two_axes_refused(self):
+        # x0 - 1 and x1 - 1 are univariate, but not in the same variable
+        with pytest.raises(ValueError, match="univariate"):
+            count_distinct_real_roots([Poly(2, {(1, 0): 1, (0, 0): -1}),
+                                       Poly(2, {(0, 1): 1, (0, 0): -1})], 0)
 
 
 def _sign(u, alpha) -> int:
@@ -486,7 +490,7 @@ class TestSignAt:
             d = [1]
             for f in chosen:
                 d = _mul(d, f)
-            for alpha in isolate_real_roots(d):
+            for alpha in isolate_real_roots(U(d), 0):
                 us = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))],
                       # planted: a multiple of the defining polynomial
                       _mul(list(alpha.coeffs), [rng.randint(1, 5), rng.randint(-3, 3)]),
@@ -541,6 +545,6 @@ def test_sturm_oracle_agreement_seeded():
         c = [Fraction(rng.randint(-9, 9)) for _ in range(deg + 1)]
         if c[-1] == 0 or all(x == 0 for x in c):
             continue
-        ours = len(isolate_real_roots(U(c)))
+        ours = len(isolate_real_roots(U(c), 0))
         assert ours == sturm_count_all(c), f"mismatch on {c}"
         done += 1

@@ -1,7 +1,7 @@
 """Leaf signs through the sample's section tower.
 
 A section coordinate x_k of a sample is a root of a polynomial E_k(x_0..x_k)
-lifted over at its level.  ``CADTree.ensure_signs`` hands those polynomials to
+lifted over at its level.  ``CADTree.leaf_signs`` hands those polynomials to
 ``sign_at_point``, whose zero certificate then eliminates x_k against E_k
 instead of the coordinate's univariate defining polynomial.
 """
@@ -97,10 +97,9 @@ class TestDifferential:
     @pytest.mark.parametrize("mode", ["ec", "sign"])
     def test_towered_signs_equal_untowered(self, mode, towered_carriers):
         for problem, tree in _differential_trees(mode):
-            tree.ensure_signs()
             for leaf in tree.leaves():
                 plain = tuple(sign_at_point(p, leaf.sample) for p in tree._relabeled_inputs)
-                assert leaf.signs == plain, (problem.name, leaf.index)
+                assert tree.leaf_signs(leaf) == plain, (problem.name, leaf.index)
         assert towered_carriers[0] > 0
 
 
@@ -171,9 +170,9 @@ class TestStructuralZeros:
         lower_zeros = 0
         for problem in random_problems(8002, 12, EC3D):
             tree = _brown_tree(problem, "sign")
-            tree.ensure_signs()
             lower = [j for j, p in enumerate(tree._relabeled_inputs) if not p.contains_var(2)]
-            lower_zeros += sum(leaf.signs[j] == 0 for leaf in tree.leaves() for j in lower)
+            lower_zeros += sum(tree.leaf_signs(leaf)[j] == 0
+                               for leaf in tree.leaves() for j in lower)
         assert lower_zeros > 0
         # x1^2 (problem 9) is lifted as x1, so its zeros are still certified
         assert certified_zeros and not any(map(_squarefree_in_main_variable, certified_zeros))
@@ -195,7 +194,8 @@ class TestSignsPerAncestor:
         problems = random_problems(5302, 11, EC3D)
         for problem in (problems[0], problems[10]):
             tree = _brown_tree(problem, "ec")
-            tree.ensure_signs()
+            for leaf in tree.leaves():
+                tree.leaf_signs(leaf)
         # signed at every leaf, the same pairs took 124 + 70 calls
         assert len(calls) == len(set(calls)) == 26 + 18
 
@@ -305,12 +305,12 @@ class TestFormerlyKilled:
         tree = _brown_tree(problem, "ec", deadline)
         evaluate_formula_on_cells(tree, problem.formula, deadline=deadline)
         with scoped_deadline(deadline):
-            tree.ensure_signs()
+            signs = [tree.leaf_signs(leaf) for leaf in tree.leaves()]
         assert time.monotonic() - start < 2.0
         cache: dict = {}
         tiny = Fraction(1, 1 << 250)
-        for leaf in tree.leaves():
-            for p, s in zip(tree._relabeled_inputs, leaf.signs):
+        for leaf, leaf_signs in zip(tree.leaves(), signs):
+            for p, s in zip(tree._relabeled_inputs, leaf_signs):
                 value = _refined_value(p, leaf.sample, cache)
                 if s == 0:
                     assert abs(value) < tiny, (leaf.index, p)
