@@ -1,9 +1,10 @@
-"""The lifting phase: stacks, the leveled cell tree, open CADs, formula truth.
+"""The lifting phase: stacks, the cell trie, open CADs, formula truth.
 
-Every stack comes from :func:`build_stack`: the full CAD keeps all of its
-cells, an open CAD only its sectors.  Lifting works in a relabeled
-coordinate space where variable i is the level i+1 variable of the chosen
-ordering, so sample points are plain prefixes.  Cell indices follow the
+The CAD is a trie: a lifted cell holds its stack, from :func:`build_stack`,
+as ``children``.  One walk, :func:`_lift`, builds it level by level: the full
+CAD lifts every cell, an open CAD only its sectors.  Lifting works in a
+relabeled coordinate space where variable i is the level i+1 variable of the
+chosen ordering, so sample points are plain prefixes.  Cell indices follow the
 odd/even convention: odd entries are sectors, even entries sections; a stack
 over a base with r sections has 2r+1 cells.
 
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algpoints import Nullified, roots_above, sign_at_point
 from .errors import Deadline, NotWellOrientedError, checkpoint, scoped_deadline
@@ -42,20 +43,19 @@ __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_ful
 
 @dataclass
 class Cell:
-    """One CAD cell: positional index and exact sample point.
+    """One CAD cell: positional index, exact sample point and its stack.
 
     ``zero_polys`` indexes the polynomials the cell's level lifted over (the
     stack's list) that vanish on the cell, discovered during stack
-    construction.  A leaf's input signs come from :meth:`CADTree.leaf_signs`.
+    construction.  ``children`` is the stack above the cell, None until it is
+    lifted, and out of ``repr`` and equality; chains descend from the root, so
+    a cell has no parent link.  Leaf signs come from :meth:`CADTree.leaf_signs`.
     """
 
     index: tuple[int, ...]
     sample: tuple[AlgebraicNumber, ...]
     zero_polys: frozenset[int] = frozenset()
-
-    @property
-    def level(self) -> int:
-        return len(self.index)
+    children: list[Cell] | None = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -88,7 +88,8 @@ def build_stack(base: Cell, polys: Sequence[Poly], shared: dict | None = None) -
     a positive-dimensional base; over a zero-dimensional base such polynomials
     simply contribute no sections (their sign is 0 across the stack).
     ``shared`` is handed to :func:`roots_above`: one dict for every base cell
-    of a level lets conjugate base cells share their eliminations.
+    of a level lets conjugate base cells share their eliminations.  The
+    stack's cells become ``base.children``.
     """
     v = len(base.sample)
     found: list[tuple[AlgebraicNumber, int]] = []
@@ -111,42 +112,54 @@ def build_stack(base: Cell, polys: Sequence[Poly], shared: dict | None = None) -
             nullified.add(idx)
     # owners[i]: the polynomials vanishing on section i
     roots, owners = _merge_roots(found)
-    samples = sector_points(roots)
+    nulls = frozenset(nullified)
     cells: list[Cell] = []
-    for i, root in enumerate(roots):
-        sector_sample = AlgebraicNumber.from_rational(samples[i])
-        cells.append(
-            Cell(base.index + (2 * i + 1,), base.sample + (sector_sample,),
-                 zero_polys=frozenset(nullified))
-        )
-        cells.append(
-            Cell(base.index + (2 * i + 2,), base.sample + (root,),
-                 zero_polys=frozenset(owners[i] | nullified))
-        )
-    last = AlgebraicNumber.from_rational(samples[-1])
-    cells.append(
-        Cell(base.index + (2 * len(roots) + 1,), base.sample + (last,),
-             zero_polys=frozenset(nullified))
-    )
+    for i, q in enumerate(sector_points(roots)):
+        cells.append(Cell(base.index + (2 * i + 1,),
+                          base.sample + (AlgebraicNumber.from_rational(q),), nulls))
+        if i < len(roots):
+            cells.append(Cell(base.index + (2 * i + 2,), base.sample + (roots[i],),
+                              nulls | owners[i]))
+    base.children = cells
     return Stack(cells)
+
+
+def _lift(root: Cell, lifted: Sequence[Sequence[Poly]],
+          keep: Callable[[Cell], bool] | None = None) -> list[list[Cell]]:
+    """Lift the trie under ``root``, level k over ``lifted[k-1]``, level by level.
+
+    Each level lifts the cells of the level below that ``keep`` accepts (all
+    of them when it is None), through one root-isolation memo that is dropped
+    when the level is done.  Returns the accepted cells of each level.
+    """
+    levels: list[list[Cell]] = []
+    bases = [root]
+    for polys in lifted:
+        shared: dict = {}  # the level's point-free root-isolation work
+        cells = [c for base in bases for c in build_stack(base, polys, shared).cells]
+        bases = cells if keep is None else [c for c in cells if keep(c)]
+        levels.append(bases)
+    return levels
 
 
 @dataclass
 class CADTree:
-    """Leveled cell tree for one ordering; counts per level, leaves last.
+    """The cell trie for one ordering: ``root`` and its lifted descendants.
 
-    ``input_polys`` are the problem polynomials (original variable labels,
-    normalized); :meth:`leaf_signs` aligns with them.  ``cell_count``
+    ``levels`` lists its cells level by level, leaves last; ``cell_count``
     follows the convention that a CAD of R^n has the leaf cells as its cells.
-    ``_lifted[k]`` holds the polynomials lifted over at level k+1, the ones
-    ``zero_polys`` indexes at that level (a designated level of an EC-mode
-    tree lifts over its designated EC alone).  ``_signs_at`` maps (input,
-    ancestor index) to the input's sign on that ancestor's cells, the one
-    store that :meth:`leaf_signs` and formula truth both sign through.
+    ``input_polys`` are the problem polynomials (original variable labels,
+    normalized); :meth:`leaf_signs` aligns with them.  ``_lifted[k]`` holds
+    the polynomials lifted over at level k+1, the ones ``zero_polys`` indexes
+    at that level (a designated level of an EC-mode tree lifts over its
+    designated EC alone).  ``_signs_at`` maps (input, ancestor index) to the
+    input's sign on that ancestor's cells, the one store that
+    :meth:`leaf_signs` and formula truth both sign through.
     """
 
     ordering: VarOrdering
     input_polys: tuple[Poly, ...]
+    root: Cell
     levels: list[list[Cell]]
     projection: ProjectionLevels
     mode: str
@@ -169,21 +182,12 @@ class CADTree:
 
     def stack_sizes(self) -> list[int]:
         """Leaf-stack sizes in base-cell order (the printed tree's row widths)."""
-        if len(self.levels) == 1:
-            return [len(self.levels[0])]
-        sizes: dict[tuple[int, ...], int] = {}
-        for cell in self.levels[-1]:
-            sizes[cell.index[:-1]] = sizes.get(cell.index[:-1], 0) + 1
-        return [sizes[c.index] for c in self.levels[-2]]
+        return [len(c.children) for c in ([self.root] + self.levels)[-2]]
 
     def leaf_signs(self, leaf: Cell) -> tuple[int, ...]:
         """The input polynomials' signs on ``leaf``, in ``input_polys`` order."""
         chain = self._chain(leaf)
         return tuple(self._sign(j, chain) for j in range(len(self._relabeled_inputs)))
-
-    @cached_property
-    def _ancestors(self) -> dict[tuple[int, ...], Cell]:
-        return {c.index: c for level in self.levels[:-1] for c in level}
 
     @cached_property
     def _where(self) -> list[tuple[int, int | None]]:
@@ -201,8 +205,13 @@ class CADTree:
         return {p: j for j, p in enumerate(self.input_polys)}
 
     def _chain(self, leaf: Cell) -> list[Cell]:
-        """The leaf's ancestors from level 1, then the leaf."""
-        return [self._ancestors[leaf.index[:j]] for j in range(1, leaf.level)] + [leaf]
+        """The leaf's ancestors from level 1, then the leaf, read down the trie
+        from ``root``: index entry i picks ``children[i - 1]``."""
+        chain, cell = [], self.root
+        for i in leaf.index:
+            cell = cell.children[i - 1]
+            chain.append(cell)
+        return chain
 
     def _sign(self, j: int, chain: Sequence[Cell]) -> int:
         """Input j's sign on ``chain``'s leaf, signed once per ancestor.
@@ -347,28 +356,15 @@ def build_cad(
             )
         if levels is None:
             levels = projection_levels(relabeled, n, designations=designations)
-        current = [Cell((), ())]
-        tree_levels: list[list[Cell]] = []
-        lifted: list[tuple[Poly, ...]] = []
-        for k in range(1, n + 1):
-            # a designated level (EC mode only) lifts over its designated EC alone
-            if k == n:
-                stack_polys = [designations[n]] if n in designations else list(relabeled)
-            elif k in designations and k >= 2:
-                stack_polys = [designations[k]]
-            else:
-                stack_polys = list(levels.level(k))
-            next_cells: list[Cell] = []
-            shared: dict = {}  # the level's point-free root-isolation work
-            for base in current:
-                checkpoint()
-                next_cells.extend(build_stack(base, stack_polys, shared).cells)
-            tree_levels.append(next_cells)
-            lifted.append(tuple(stack_polys))
-            current = next_cells
-    return CADTree(ordering, tuple(inputs), tree_levels, levels, mode,
+        # a designated level above level 1, or a designated top, lifts over its EC alone
+        lifted = tuple((designations[k],) if k in designations and (k > 1 or n == 1)
+                       else tuple(relabeled) if k == n else levels.level(k)
+                       for k in range(1, n + 1))
+        root = Cell((), ())
+        tree_levels = _lift(root, lifted)
+    return CADTree(ordering, tuple(inputs), root, tree_levels, levels, mode,
                    designation_label=label, _relabeled_inputs=tuple(relabeled),
-                   _lifted=tuple(lifted))
+                   _lifted=lifted)
 
 
 def _choose_designation(
@@ -437,7 +433,7 @@ def _label(mapping: dict[int, Poly]) -> str:
 
 
 def open_cad_fulldim(A: Iterable[Poly], ordering: VarOrdering) -> int:
-    """Number of full-dimensional cells: every stack's sectors, level by level.
+    """Number of full-dimensional cells: the top sectors of a sectors-only trie.
 
     No stack over a sector is nullified: a level-k polynomial vanishes at a
     sample only where its leading coefficient in x_{k-1} does, which the
@@ -447,12 +443,8 @@ def open_cad_fulldim(A: Iterable[Poly], ordering: VarOrdering) -> int:
     relabeled = ordering.relabel(p for p in A if not p.is_constant())
     if not relabeled:
         return 1
-    levels = projection_levels(relabeled, ordering.nvars)
-    cells = [Cell((), ())]
-    for k in range(1, ordering.nvars + 1):
-        shared: dict = {}  # the level's point-free root-isolation work
-        cells = [c for base in cells for c in build_stack(base, levels.level(k), shared).cells[::2]]
-    return len(cells)
+    levels = projection_levels(relabeled, ordering.nvars).levels
+    return len(_lift(Cell((), ()), levels, lambda c: c.index[-1] % 2 == 1)[-1])
 
 
 def evaluate_formula_on_cells(

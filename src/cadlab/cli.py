@@ -21,7 +21,7 @@ from .bench import (
     write_json,
 )
 from .cadbuild import build_cad, evaluate_formula_on_cells
-from .errors import CadError, ParseError
+from .errors import CadError, NotWellOrientedError, ParseError
 from .formulas import identify_ecs
 from .groebner import MonomialOrder
 from .heuristics import ORDERING_HEURISTICS, gb_precondition_decision
@@ -70,7 +70,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="cell counts per admissible ordering")
     p.add_argument("file", type=Path)
-    p.add_argument("--all-orders", action="store_true", default=True)
     p.add_argument("--mode", default="sign", choices=("sign", "ec"))
 
     p = sub.add_parser("gb-check", help="Groebner preconditioning decision (TNoI gate)")
@@ -218,9 +217,12 @@ def _cmd_compare(args) -> int:
     names = problem.var_names
     print(f"problem: {problem.name}")
     for ordering in admissible_orderings(problem.nvars, problem.blocks):
-        tree = build_cad(problem, ordering, mode=args.mode)
-        print(f"  {ordering.to_names(names)}: {tree.cell_count} cells "
-              f"({tree.fulldim_leaf_count()} full-dimensional)")
+        try:
+            tree = build_cad(problem, ordering, mode=args.mode)
+            answer = f"{tree.cell_count} cells ({tree.fulldim_leaf_count()} full-dimensional)"
+        except NotWellOrientedError:  # this ordering has no answer; the others may
+            answer = "not_well_oriented"
+        print(f"  {ordering.to_names(names)}: {answer}")
     return 0
 
 

@@ -198,6 +198,28 @@ class TestCli:
         assert "x,y: 11 cells" in out
         assert "y,x: 3 cells" in out
 
+    def test_compare_goes_on_past_a_not_well_oriented_ordering(self, tmp_path, capsys):
+        # lift3d problem 18: two orderings nullify a projection polynomial
+        # over a positive-dimensional cell, the other four answer
+        profile = RandomProfile(nvars=3, npolys=2, max_degree=2, max_terms=4, coeff_range=5,
+                                equality_fraction=0.3)
+        path = tmp_path / "p.json"
+        path.write_text(emit_json(random_problems(5301, 60, profile)[18]))
+        assert main(["compare", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "  x,y,z: not_well_oriented",
+            "  x,z,y: 13 cells (6 full-dimensional)",
+            "  y,x,z: not_well_oriented",
+            "  y,z,x: 7 cells (4 full-dimensional)",
+            "  z,x,y: 13 cells (6 full-dimensional)",
+            "  z,y,x: 13 cells (6 full-dimensional)",
+        ]
+
+    def test_compare_has_no_all_orders_option(self, capsys):
+        # compare always runs every admissible ordering
+        assert main(["compare", str(CORPUS / "blowup.json"), "--all-orders"]) == 1
+
     def test_gb_check(self, capsys):
         assert main(["gb-check", str(CORPUS / "two_circles.json")]) == 0
         out = capsys.readouterr().out

@@ -41,6 +41,8 @@ XY = VarOrdering((0, 1))
 YX = VarOrdering((1, 0))
 EC3D = RandomProfile(nvars=3, npolys=3, max_degree=2, max_terms=4, coeff_range=5,
                      equality_fraction=0.7)
+LIFT3D = RandomProfile(nvars=3, npolys=2, max_degree=2, max_terms=4, coeff_range=5,
+                       equality_fraction=0.3)
 
 
 def P(terms):
@@ -236,6 +238,20 @@ def _check_cylindricity(tree):
         parents = {c.index for c in parent_cells}
         for cell in level_cells:
             assert cell.index[:-1] in parents
+    # the trie links: each lifted cell's children are, in order, the next
+    # level's cells under its index; the root holds the first level
+    for level_cells, parent_cells in zip(tree.levels, [[tree.root]] + tree.levels[:-1]):
+        under: dict = {}
+        for cell in level_cells:
+            under.setdefault(cell.index[:-1], []).append(cell)
+        for parent in parent_cells:
+            assert parent.children is not None
+            assert list(map(id, parent.children)) == list(map(id, under.pop(parent.index)))
+            # the children stay out of the repr and out of equality
+            assert "children" not in repr(parent)
+            assert parent == Cell(parent.index, parent.sample, parent.zero_polys)
+        assert not under
+    assert all(c.children is None for c in tree.leaves())
 
 
 def _check_interleaving(tree):
@@ -293,20 +309,32 @@ class TestOpenCad:
         assert open_cad_fulldim([BLOWUP], XY) == 5
 
     def test_criterion_8_corpus_matches_fulldim_leaves(self, criterion_8_problems):
-        # every ordering gets an open CAD; it is the sign-mode build's sector
-        # subtree wherever the build is well oriented
-        matched = not_well_oriented = 0
-        for prob in criterion_8_problems:
-            for ordering in admissible_orderings(prob.nvars, prob.blocks):
-                n = open_cad_fulldim(prob.input_polys(), ordering)
-                try:
-                    tree = build_cad(prob, ordering, mode="sign")
-                except NotWellOrientedError:
-                    not_well_oriented += 1
-                    continue
-                assert n == tree.fulldim_leaf_count(), (prob.name, ordering)
-                matched += 1
-        assert (matched, not_well_oriented) == (508, 12)
+        assert _open_cad_agreement(criterion_8_problems) == (508, 12)
+
+    def test_lift3d_corpus_matches_fulldim_leaves(self):
+        # the perfbench lift3d corpus; problem 37 times out in most orderings
+        problems = random_problems(5301, 60, LIFT3D)
+        assert _open_cad_agreement(problems[:37] + problems[38:]) == (298, 56)
+
+
+def _open_cad_agreement(problems) -> tuple[int, int]:
+    """(matched, not well oriented) over every ordering of every problem.
+
+    Every ordering gets an open CAD; it is the sign-mode build's sector
+    subtree wherever the build is well oriented.
+    """
+    matched = not_well_oriented = 0
+    for prob in problems:
+        for ordering in admissible_orderings(prob.nvars, prob.blocks):
+            n = open_cad_fulldim(prob.input_polys(), ordering)
+            try:
+                tree = build_cad(prob, ordering, mode="sign")
+            except NotWellOrientedError:
+                not_well_oriented += 1
+                continue
+            assert n == tree.fulldim_leaf_count(), (prob.name, ordering)
+            matched += 1
+    return matched, not_well_oriented
 
 
 class TestEvaluate:
