@@ -31,10 +31,11 @@ from .formulas import (
     identify_ecs,
     normalize,
     propagate_ecs,
+    score_designation,
 )
 from .ordering import VarOrdering
 from .polys import Poly, distinct_normalized
-from .projection import ProjectionLevels, _input_level, _next_level, _set_sotd, projection_levels
+from .projection import ProjectionLevels, projection_levels
 from .realroots import AlgebraicNumber, _merge_roots, _midpoint
 
 __all__ = ["Cell", "Stack", "CADTree", "build_stack", "build_cad", "open_cad_fulldim",
@@ -348,14 +349,13 @@ def build_cad(
     relabeled = ordering.relabel(inputs)
     designations: dict[int, Poly] = {}
     label = "-"
-    levels = None
     with scoped_deadline(deadline):
         if mode == "ec":
             designations, label, levels = _choose_designation(
                 relabeled, formula, ordering, designation
             )
-        if levels is None:
-            levels = projection_levels(relabeled, n, designations=designations)
+        else:
+            levels = projection_levels(relabeled, n)
         # a designated level above level 1, or a designated top, lifts over its EC alone
         lifted = tuple((designations[k],) if k in designations and (k > 1 or n == 1)
                        else tuple(relabeled) if k == n else levels.level(k)
@@ -372,58 +372,41 @@ def _choose_designation(
     formula: Formula | None,
     ordering: VarOrdering,
     requested: int | None,
-) -> tuple[dict[int, Poly], str, ProjectionLevels | None]:
+) -> tuple[dict[int, Poly], str, ProjectionLevels]:
     """Designations for EC mode, auto-scored by sotd unless one is requested.
 
     Returns a level->poly mapping in the relabeled space, a display label and
-    the winning designation's projection levels when scoring computed them
-    (None otherwise).  With no equational constraints the mapping is empty
+    the mapping's projection levels.  Every designation is scored by
+    :func:`score_designation` through one step memo, and the first strict
+    minimum wins; a designation whose EC cannot project its level is
+    skipped.  The winner's levels are then memo hits.  With no equational
+    constraints, or no designation that projects, the mapping is empty
     (degenerates to the sign-invariant build).
     """
     if formula is None:
         ecs = list(relabeled)  # a bare polynomial set is read as a conjunction of = 0
     else:
         ecs = ordering.relabel(identify_ecs(formula))
-    if not ecs:
-        return {}, "none", None
-    candidates = propagate_ecs(ecs)
-    if requested is not None:
+    mapping: dict[int, Poly] = {}
+    steps: dict[tuple, tuple[Poly, ...]] = {}
+    if ecs and requested is not None:
+        candidates = propagate_ecs(ecs)
         top = candidates[-1]
         if not 0 <= requested < len(top):
             raise ValueError(f"designation index {requested} out of range")
         # the requested EC on top, the first candidate on every level below
         mapping = {k: level[0] for k, level in enumerate(candidates[:-1], start=1) if level}
         mapping[len(candidates)] = top[requested]
-        return mapping, _label(mapping), None
-    inputs = _input_level(relabeled)
-    # (level set, level, designated EC or None) -> (next level set, its sotd),
-    # or None where the EC cannot project the set: designations that agree
-    # on the upper levels share those steps
-    steps: dict[tuple, tuple[tuple[Poly, ...], int] | None] = {}
-    best = None
-    for d in enumerate_designations(candidates):
-        out, score = [inputs], _set_sotd(inputs)
-        for k in range(ordering.nvars, 1, -1):
-            if best is not None and score >= best[0]:
-                break  # the sotd only grows: it cannot beat the first minimum
-            checkpoint()
-            key = (out[-1], k, d.get(k))
-            if key not in steps:
-                try:
-                    nxt = _next_level(*key)
-                    steps[key] = nxt, _set_sotd(nxt)
-                except ValueError:
-                    steps[key] = None
-            if steps[key] is None:
-                break
-            nxt, cost = steps[key]
-            out.append(nxt)
-            score += cost
-        if len(out) == ordering.nvars and (best is None or score < best[0]):
-            best = (score, d, ProjectionLevels(tuple(reversed(out))))
-    if best is None:
-        return {}, "none", None
-    return best[1], _label(best[1]), best[2]
+    elif ecs:
+        scored = []
+        for d in enumerate_designations(propagate_ecs(ecs)):
+            try:
+                scored.append((score_designation(relabeled, d, steps), d))
+            except ValueError:
+                continue  # an EC that cannot project its level
+        if scored:
+            mapping = min(scored, key=lambda s: s[0])[1]
+    return mapping, _label(mapping), projection_levels(relabeled, ordering.nvars, mapping, steps)
 
 
 def _label(mapping: dict[int, Poly]) -> str:

@@ -205,15 +205,17 @@ def enumerate_designations(candidates: Sequence[Sequence[Poly]]) -> list[dict[in
     return out
 
 
-def score_designation(A: Iterable[Poly], designation: Mapping[int, Poly]) -> int:
+def score_designation(A: Iterable[Poly], designation: Mapping[int, Poly],
+                      steps: dict | None = None) -> int:
     """Projection size under the designation: the sotd of its level stack.
 
     A and the designation are in lifting coordinates.  Designations apply
     the reduced operator at their levels (level 1 carries no projection, so
-    its designation is inert).  Projection errors propagate; an empty A
-    raises :class:`ValueError`.
+    its designation is inert).  ``steps`` is the memo of
+    :func:`projection_levels`, shared by every designation of one input.
+    Projection errors propagate; an empty A raises :class:`ValueError`.
     """
     A = list(A)
     if not A:
         raise ValueError("no polynomials to project")
-    return sotd_value(projection_levels(A, A[0].nvars, designations=designation))
+    return sotd_value(projection_levels(A, A[0].nvars, designation, steps))

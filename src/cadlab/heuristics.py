@@ -39,11 +39,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HeuristicReport:
-    """Outcome of one heuristic: winner, per-candidate scores, tie partners."""
+    """Outcome of one heuristic: winner, per-candidate scores, tie partners.
+
+    Scores are keyed by ordering, or by variable index for brown and greedy-sotd.
+    """
 
     heuristic: str
     chosen: VarOrdering
-    scores: tuple[tuple[str, object], ...]
+    scores: tuple[tuple[VarOrdering | int, object], ...]
     ties: tuple[VarOrdering, ...] = ()
 
 
@@ -67,9 +70,7 @@ def brown_order(
         elim = sorted(segment, key=lambda v: (stats[v].as_tuple(), -v))
         lift_order.extend(reversed(elim))
     chosen = VarOrdering(tuple(lift_order))
-    table = tuple(
-        (f"x{v}", stats[v].as_tuple()) for v in range(nvars)
-    )
+    table = tuple((v, stats[v].as_tuple()) for v in range(nvars))
     return HeuristicReport("brown", chosen, table)
 
 
@@ -93,9 +94,7 @@ def _argmin_over_orderings(
         scored.append((ordering, score(polys, ordering)))
     best = min(s for _, s in scored)
     winners = [o for o, s in scored if s == best]
-    labels = [f"x{i}" for i in range(nvars)]
-    table = tuple((o.to_names(labels), s) for o, s in scored)
-    return HeuristicReport(name, winners[0], table, ties=tuple(winners[1:]))
+    return HeuristicReport(name, winners[0], tuple(scored), ties=tuple(winners[1:]))
 
 
 def order_by_sotd(
@@ -130,7 +129,7 @@ def _greedy_sotd(
     segments = ordering_segments(nvars, blocks)
     current = [p.normalized() for p in _clean(A)]
     elim: list[int] = []
-    steps: list[tuple[str, object]] = []
+    steps: list[tuple[int, int]] = []
     for segment in reversed(segments):  # innermost quantifier block first
         remaining = list(segment)
         while remaining:
@@ -143,7 +142,7 @@ def _greedy_sotd(
                 add = sum(sum(e) for p in proj for e in p.terms)
                 if best_add is None or add < best_add:
                     best_v, best_add, best_proj = v, add, proj
-            steps.append((f"eliminate x{best_v}", best_add))
+            steps.append((best_v, best_add))
             elim.append(best_v)
             remaining.remove(best_v)
             current = best_proj

@@ -20,6 +20,7 @@ metadata keys), so emitting a parsed file is byte-stable.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -121,14 +122,18 @@ def _blocks(v: Any, var_names: tuple[str, ...]) -> tuple[QuantifierBlock, ...]:
     return tuple(out)
 
 
+# the form emit_json writes, nonzero denominator; Fraction alone also takes
+# "1.5" and " 2", and on newer Pythons "1_000" and "2 / 3"
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def _coeff(v: Any, path: str) -> Fraction:
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise JsonSchemaError(path, f"bad rational literal {v!r}") from None
+        if not _RATIONAL.fullmatch(v):
+            raise JsonSchemaError(path, f"bad rational literal {v!r}")
+        return Fraction(v)
     raise JsonSchemaError(path, "coefficient must be an integer or 'num/den' string")
 
 

@@ -18,6 +18,9 @@ for the gcd that would prove the part square-free or the pair coprime, while
 a zero one holds the gcd to split by (``polys._certified_basis``).  The full
 operator emits those kept values and computes only the discriminants and
 resultants of elements that a gcd split produced.
+
+:func:`projection_levels` is the one walk over the levels; its ``steps`` memo
+lets the walks of EC designation scoring share the steps they agree on.
 """
 
 from __future__ import annotations
@@ -133,36 +136,34 @@ class ProjectionLevels:
 
 def sotd_value(levels: ProjectionLevels) -> int:
     """Sum of total degrees of every monomial at every level, input included."""
-    return sum(map(_set_sotd, levels.levels))
-
-
-def _set_sotd(polys: Iterable[Poly]) -> int:
-    """Sum of total degrees of every monomial of one level."""
-    return sum(sum(exps) for p in polys for exps in p.terms)
+    return sum(sum(exps) for level in levels.levels for p in level for exps in p.terms)
 
 
 def projection_levels(
     A: Iterable[Poly],
     nvars: int,
     designations: Mapping[int, Poly] | None = None,
+    steps: dict[tuple, tuple[Poly, ...]] | None = None,
 ) -> ProjectionLevels:
     """Apply the projection operator from level ``nvars`` down to level 1.
 
     Level k eliminates x_{k-1}.  ``designations`` maps a level number to its
-    designated EC; those levels project with the reduced operator.
+    designated EC; those levels project with the reduced operator.  ``steps``
+    memoizes (level set, level, designated EC or None) -> next level set
+    across calls, so projections that agree on the upper levels compute them
+    once; a step that raises is not stored.
     """
     designations = designations or {}
-    out = [_input_level(A)]
+    steps = {} if steps is None else steps
+    out = [tuple(sorted(distinct_normalized(A), key=_poly_sort_key))]
     for k in range(nvars, 1, -1):
         checkpoint()
-        out.append(_next_level(out[-1], k, designations.get(k)))
+        key = (out[-1], k, designations.get(k))
+        if key not in steps:
+            steps[key] = _next_level(*key)
+        out.append(steps[key])
     out.reverse()
     return ProjectionLevels(tuple(out))
-
-
-def _input_level(A: Iterable[Poly]) -> tuple[Poly, ...]:
-    """Level ``nvars`` of :func:`projection_levels`: A normalized, deduplicated, sorted."""
-    return tuple(sorted(distinct_normalized(A), key=_poly_sort_key))
 
 
 def _next_level(current: tuple[Poly, ...], k: int, e: Poly | None) -> tuple[Poly, ...]:

@@ -192,6 +192,17 @@ class TestCli:
         for h in ("brown", "sotd", "greedy-sotd", "ndrr", "fulldim"):
             assert f"{h}: y,x" in out
 
+    def test_analyze_names_the_declared_variables(self, capsys):
+        # every score table is keyed by data; only the command names variables
+        assert main(["analyze", str(CORPUS / "blowup.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "brown: y,x", "  x: (1, 3, 2)", "  y: (2, 3, 2)",
+            "sotd: y,x", "  x,y: 11", "  y,x: 10",
+            "greedy-sotd: y,x", "  eliminate x: 4", "  eliminate y: 0",
+            "ndrr: y,x", "  x,y: 2", "  y,x: 0",
+            "fulldim: y,x", "  x,y: 5", "  y,x: 2",
+        ]
+
     def test_compare(self, capsys):
         assert main(["compare", str(CORPUS / "blowup.json")]) == 0
         out = capsys.readouterr().out

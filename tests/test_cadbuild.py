@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cadlab import cadbuild
+from cadlab import cadbuild, projection
 from cadlab.cadbuild import (
     Cell,
     build_cad,
@@ -501,44 +501,54 @@ class TestEcReduced:
             build_cad(prob, XY, mode="sign", designation=0)
 
     def test_projection_levels_computed_once_per_designation(self, monkeypatch):
-        # scoring steps every designation's projection through one memo, so
-        # no (level set, level, EC) step runs twice, and the build lifts over
-        # the winning designation's scored levels without projecting again
+        # every designation is scored once, through one step memo, so no
+        # (level set, level, EC) step runs twice, and the winner's levels
+        # come from that memo without projecting again
+        scored = []
         calls = []
         steps = []
-        step = cadbuild._next_level
+        score = cadbuild.score_designation
+        step = projection._next_level
+
+        def scoring(A, designation, memo=None):
+            scored.append(designation)
+            return score(A, designation, memo)
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("designations"))
+            calls.append(args[2:])
             return projection_levels(*args, **kwargs)
 
         def stepping(*key):
             steps.append(key)
             return step(*key)
 
+        monkeypatch.setattr(cadbuild, "score_designation", scoring)
         monkeypatch.setattr(cadbuild, "projection_levels", counting)
-        monkeypatch.setattr(cadbuild, "_next_level", stepping)
+        monkeypatch.setattr(projection, "_next_level", stepping)
         formula = BoolOp("and", (Atom(CIRCLE, "="), Atom(CIRCLE2, "=")))
         prob = Problem("two", ("x", "y"), formula=formula)
-        scored = list(enumerate_designations(propagate_ecs(identify_ecs(formula))))
-        assert len(scored) > 1
+        designations = enumerate_designations(propagate_ecs(identify_ecs(formula)))
+        assert len(designations) > 1
         build_cad(prob, XY, mode="ec")
-        assert calls == []
-        assert len(steps) == len(set(steps)) == len(scored)
-        build_cad(prob, XY, mode="ec", designation=1)
+        assert scored == designations
+        assert len(steps) == len(set(steps)) == len(designations)
         assert len(calls) == 1
+        build_cad(prob, XY, mode="ec", designation=1)
+        assert scored == designations and len(calls) == 2
 
     def test_shared_pruned_scoring_matches_scoring_from_scratch(self, monkeypatch):
         # the first strict sotd minimum wins, with the same levels, as when
-        # each designation is projected and scored on its own
+        # each designation is projected and scored on its own; no step that
+        # returns runs twice
         steps = []
-        step = cadbuild._next_level
+        step = projection._next_level
 
         def stepping(*key):
+            out = step(*key)
             steps.append(key)
-            return step(*key)
+            return out
 
-        monkeypatch.setattr(cadbuild, "_next_level", stepping)
+        monkeypatch.setattr(projection, "_next_level", stepping)
         xyz = VarOrdering((0, 1, 2))
         compared = shared_steps = from_scratch_steps = 0
         for prob in random_problems(5302, 120, EC3D):

@@ -18,7 +18,7 @@ from cadlab.heuristics import (
     sotd_value,
     tnoi,
 )
-from cadlab.ordering import QuantifierBlock, admissible_orderings
+from cadlab.ordering import QuantifierBlock, VarOrdering, admissible_orderings
 from cadlab.polys import Poly
 from cadlab.projection import projection_levels
 from cadlab.randgen import RandomProfile, random_problems
@@ -32,6 +32,7 @@ def P(terms):
 CIRCLE = P({(2, 0): 1, (0, 2): 1, (0, 0): -1})
 CIRCLE2 = P({(2, 0): 1, (1, 0): -2, (0, 2): 1})
 BLOWUP = P({(1, 2): 1, (1, 0): 1, (0, 2): -1, (0, 0): -2})
+XY, YX = VarOrdering((0, 1)), VarOrdering((1, 0))
 
 
 class TestBrown:
@@ -71,7 +72,7 @@ class TestSotd:
     def test_blowup_exhaustive(self):
         rep = order_by_sotd([BLOWUP], 2)
         assert rep.chosen.order == (1, 0)
-        assert dict(rep.scores) == {"x0,x1": 11, "x1,x0": 10}
+        assert dict(rep.scores) == {XY: 11, YX: 10}
 
     def test_single_variable_identity(self):
         p = Poly(1, {(3,): 1, (0,): -1})
@@ -103,7 +104,7 @@ class TestNdrr:
     def test_blowup(self):
         rep = order_by_ndrr([BLOWUP], 2)
         assert rep.chosen.order == (1, 0)
-        assert dict(rep.scores) == {"x0,x1": 2, "x1,x0": 0}
+        assert dict(rep.scores) == {XY: 2, YX: 0}
 
     def test_circle_tie_declared(self):
         rep = order_by_ndrr([CIRCLE], 2)
@@ -119,12 +120,12 @@ class TestFulldim:
     def test_blowup(self):
         rep = order_by_fulldim([BLOWUP], 2)
         assert rep.chosen.order == (1, 0)
-        assert dict(rep.scores) == {"x0,x1": 5, "x1,x0": 2}
+        assert dict(rep.scores) == {XY: 5, YX: 2}
 
     def test_circle_tie(self):
         rep = order_by_fulldim([CIRCLE], 2)
         assert rep.chosen.order == (0, 1)
-        assert dict(rep.scores) == {"x0,x1": 5, "x1,x0": 5}
+        assert dict(rep.scores) == {XY: 5, YX: 5}
 
     def test_single_poly_single_var(self):
         rep = order_by_fulldim([Poly(1, {(1,): 1})], 1)
@@ -145,9 +146,8 @@ def _score_tables(problem):
 
 
 def _assert_tables_measure(problem, sotd, ndrr, ordering, levels):
-    name = ordering.to_names([f"x{i}" for i in range(problem.nvars)])
-    assert sotd[name] == sotd_value(levels), (problem.name, name)
-    assert ndrr[name] == count_distinct_real_roots(levels.level(1), 0), (problem.name, name)
+    assert sotd[ordering] == sotd_value(levels), (problem.name, ordering)
+    assert ndrr[ordering] == count_distinct_real_roots(levels.level(1), 0), (problem.name, ordering)
 
 
 class TestScoresMeasureTheBuild:

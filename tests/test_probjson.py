@@ -77,6 +77,10 @@ class TestSchemaErrors:
         ({"coeff": True, "exps": [1]}, "/polys/0/0/coeff"),
         ({"coeff": 1, "exps": [True]}, "/polys/0/0/exps/0"),
         ({"coeff": 1, "exps": [1.5]}, "/polys/0/0/exps/0"),
+        # coefficient strings outside "num[/den]", some of which Fraction
+        # accepts on every Python and some only on newer ones
+        *(({"coeff": c, "exps": [1]}, "/polys/0/0/coeff")
+          for c in ("1.5", "1e3", " 2", "+3", "1_000", "2 / 3", "1/0", "")),
     ])
     def test_json_booleans_and_floats_rejected(self, term, pointer):
         doc = {"name": "b", "vars": ["x"], "polys": [[term]]}
