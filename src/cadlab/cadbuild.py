@@ -376,19 +376,18 @@ def _choose_designation(
     """Designations for EC mode, auto-scored by sotd unless one is requested.
 
     Returns a level->poly mapping in the relabeled space, a display label and
-    the mapping's projection levels.  Every designation is scored by
-    :func:`score_designation` through one step memo, and the first strict
-    minimum wins; a designation whose EC cannot project its level is
-    skipped.  The winner's levels are then memo hits.  With no equational
-    constraints, or no designation that projects, the mapping is empty
-    (degenerates to the sign-invariant build).
+    the mapping's projection levels.  :func:`score_designation` scores every
+    designation through one step memo, skipping any whose EC cannot project
+    its level; the first strict minimum wins, and its levels are memo hits.
+    With no equational constraints, or no designation that projects, the
+    mapping is empty (degenerates to the sign-invariant build).
     """
     if formula is None:
         ecs = list(relabeled)  # a bare polynomial set is read as a conjunction of = 0
     else:
         ecs = ordering.relabel(identify_ecs(formula))
     mapping: dict[int, Poly] = {}
-    steps: dict[tuple, tuple[Poly, ...]] = {}
+    steps: dict[tuple, tuple[Poly, ...] | ValueError] = {}
     if ecs and requested is not None:
         candidates = propagate_ecs(ecs)
         top = candidates[-1]
@@ -404,8 +403,7 @@ def _choose_designation(
                 scored.append((score_designation(relabeled, d, steps), d))
             except ValueError:
                 continue  # an EC that cannot project its level
-        if scored:
-            mapping = min(scored, key=lambda s: s[0])[1]
+        mapping = min(scored, key=lambda s: s[0], default=(None, {}))[1]
     return mapping, _label(mapping), projection_levels(relabeled, ordering.nvars, mapping, steps)
 
 

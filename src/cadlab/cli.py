@@ -155,9 +155,8 @@ def _cmd_analyze(args) -> int:
     for h in wanted:
         rep = ORDERING_HEURISTICS[h](polys, problem.nvars, problem.blocks)
         print(f"{h}: {rep.chosen.to_names(names)}")
-        prefix = "eliminate " if h == "greedy-sotd" else ""
         for key, score in rep.scores:
-            label = key.to_names(names) if isinstance(key, VarOrdering) else prefix + names[key]
+            label = key.to_names(names) if isinstance(key, VarOrdering) else rep.row_prefix + names[key]
             print(f"  {label}: {score}")
         if rep.ties:
             print(f"  ties: {'; '.join(t.to_names(names) for t in rep.ties)}")

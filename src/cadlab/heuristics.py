@@ -41,13 +41,14 @@ __all__ = [
 class HeuristicReport:
     """Outcome of one heuristic: winner, per-candidate scores, tie partners.
 
-    Scores are keyed by ordering, or by variable index for brown and greedy-sotd.
+    Scores are keyed by ordering or by variable index; ``row_prefix`` heads an index row.
     """
 
     heuristic: str
     chosen: VarOrdering
     scores: tuple[tuple[VarOrdering | int, object], ...]
     ties: tuple[VarOrdering, ...] = ()
+    row_prefix: str = ""
 
 
 def _clean(A: Iterable[Poly]) -> list[Poly]:
@@ -147,7 +148,7 @@ def _greedy_sotd(
             remaining.remove(best_v)
             current = best_proj
     chosen = VarOrdering(tuple(reversed(elim)))
-    return HeuristicReport("greedy-sotd", chosen, tuple(steps))
+    return HeuristicReport("greedy-sotd", chosen, tuple(steps), row_prefix="eliminate ")
 
 
 def order_by_ndrr(

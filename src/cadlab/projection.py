@@ -143,15 +143,15 @@ def projection_levels(
     A: Iterable[Poly],
     nvars: int,
     designations: Mapping[int, Poly] | None = None,
-    steps: dict[tuple, tuple[Poly, ...]] | None = None,
+    steps: dict[tuple, tuple[Poly, ...] | ValueError] | None = None,
 ) -> ProjectionLevels:
     """Apply the projection operator from level ``nvars`` down to level 1.
 
     Level k eliminates x_{k-1}.  ``designations`` maps a level number to its
     designated EC; those levels project with the reduced operator.  ``steps``
-    memoizes (level set, level, designated EC or None) -> next level set
-    across calls, so projections that agree on the upper levels compute them
-    once; a step that raises is not stored.
+    memoizes (level set, level, designated EC or None) -> next level set, or
+    the ValueError the step raised, across calls, so projections that agree
+    on the upper levels compute them once.
     """
     designations = designations or {}
     steps = {} if steps is None else steps
@@ -160,7 +160,12 @@ def projection_levels(
         checkpoint()
         key = (out[-1], k, designations.get(k))
         if key not in steps:
-            steps[key] = _next_level(*key)
+            try:
+                steps[key] = _next_level(*key)
+            except ValueError as exc:
+                steps[key] = exc
+        if isinstance(steps[key], ValueError):
+            raise steps[key].with_traceback(None)
         out.append(steps[key])
     out.reverse()
     return ProjectionLevels(tuple(out))

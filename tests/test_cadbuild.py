@@ -538,15 +538,13 @@ class TestEcReduced:
 
     def test_shared_pruned_scoring_matches_scoring_from_scratch(self, monkeypatch):
         # the first strict sotd minimum wins, with the same levels, as when
-        # each designation is projected and scored on its own; no step that
-        # returns runs twice
+        # each designation is projected and scored on its own
         steps = []
         step = projection._next_level
 
         def stepping(*key):
-            out = step(*key)
             steps.append(key)
-            return out
+            return step(*key)
 
         monkeypatch.setattr(projection, "_next_level", stepping)
         xyz = VarOrdering((0, 1, 2))
