@@ -16,11 +16,15 @@ preconditioning layers consume: pseudo-division, and multivariate gcds,
 resultants and discriminants (with a fixed sign normalization) from one
 subresultant chain, square-free primitive bases, and per-variable degree
 statistics.  A zero resultant leaves the gcd in the chain, so no pair runs two
-chains.  A gcd whose arguments together involve one variable runs on dense
-integer lists instead, through the integer PRS that root isolation shares
-(:mod:`cadlab.dense`); contents reach it through :func:`poly_gcd`, and the
-square-free part of a univariate polynomial calls it directly.  A content
-with a nonzero constant coefficient is 1 without a gcd.
+chains.  The chain and ``prem`` run on nested integer lists in
+:mod:`cadlab.dense`: their arguments are converted once, the main variable
+outermost and denominators cleared, and the results converted back once
+(``_nested`` and ``_from_nested``, which stay here because only this module
+may build a ``Poly`` without validation).  A gcd whose arguments together
+involve one variable runs on dense integer lists too, through the integer
+PRS that root isolation shares; contents reach it through :func:`poly_gcd`,
+and the square-free part of a univariate polynomial calls it directly.  A
+content with a nonzero constant coefficient is 1 without a gcd.
 
 The square-free primitive basis is certified by the values the projection
 emits: a part's discriminant before its square-free step and a pair's
@@ -34,11 +38,11 @@ tuple and coefficient.  Results built inside this module whose terms are valid
 by construction skip that pass through the private ``_adopt``: ``+``, ``-``,
 negation, ``*``, ``derivative``, ``scaled_substitute``,
 ``coeffs_in``, ``coeff_of_power``, ``permute_vars``, ``normalized_with_sign``,
-``divexact`` and the ``zero``/``const``/``var`` builders.  Each keeps the
-invariant the public constructor establishes: exponent tuples of length
-``nvars`` with no negative entry, no zero coefficient, and an ``int`` for every
-integral coefficient.  Arithmetic drops its zero sums as it goes, and where it
-can produce an integral ``Fraction`` (``+``, ``*``, ``derivative``,
+``divexact``, ``_from_nested`` and the ``zero``/``const``/``var`` builders.
+Each keeps the invariant the public constructor establishes: exponent
+tuples of length ``nvars`` with no negative entry, no zero coefficient, and
+an ``int`` for every integral coefficient.  Arithmetic drops its zero sums as
+it goes, and where it can produce an integral ``Fraction`` (``+``, ``*``, ``derivative``,
 ``divexact``) one pass, ``_ints``, stores it as an ``int``.
 A polynomial that is already canonical is its own normalized form, and
 ``is_constant`` reads at most one term.  Rational substitution is one integer
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dense import _deriv, _uni_gcd, dense_from_poly
+from .dense import _deriv, _prem, _subresultant, _uni_gcd, dense_from_poly
 from .errors import checkpoint
 
 __all__ = [
@@ -526,19 +530,71 @@ def prem(p: Poly, q: Poly, v: int) -> Poly:
         raise ValueError("pseudo-division requires positive degree divisor")
     if p.is_zero():
         return p
-    lc_q = q.leading_coeff(v)
-    rem = p
-    steps = p.degree(v) - dq + 1
-    while not rem.is_zero() and rem.degree(v) >= dq:
-        checkpoint()
-        dr = rem.degree(v)
-        lead = rem.coeff_of_power(v, dr)
-        shift = Poly.var(p.nvars, v) ** (dr - dq)
-        rem = rem * lc_q - lead * shift * q
-        steps -= 1
-    if steps > 0:
-        rem = rem * lc_q**steps
-    return rem
+    order = _nesting_order(p, q, v)
+    lp, lq = _clearing_scale(p), _clearing_scale(q)
+    r = _prem(_nested(p, order, lp), _nested(q, order, lq), len(order))
+    return _from_nested(r, order, p.nvars, lp * lq ** max(p.degree(v) - dq + 1, 0))
+
+
+# -- nested integer lists (the representation of ``dense``'s chain) -------------
+
+
+def _nesting_order(p: Poly, q: Poly, v: int) -> tuple[int, ...]:
+    """v, then the other variables of p and q ascending: outermost first."""
+    return (v, *sorted((set(p.variables()) | set(q.variables())) - {v}))
+
+
+def _clearing_scale(p: Poly) -> int:
+    """The least positive integer that clears p's denominators."""
+    return math.lcm(*(c.denominator for c in p.terms.values()))
+
+
+def _nested(p: Poly, order: Sequence[int], scale: int) -> list:
+    """scale * p as a nested integer list of depth len(order), in the
+    variables of ``order``, outermost first; scale clears p's denominators."""
+    root: list = []
+    *outer, inner = order
+    for e, c in p.terms.items():
+        node = root
+        for var in outer:
+            k = e[var]
+            if len(node) <= k:
+                node.extend([] for _ in range(k + 1 - len(node)))
+            node = node[k]
+        k = e[inner]
+        if len(node) <= k:
+            node.extend([0] * (k + 1 - len(node)))
+        node[k] = c.numerator * (scale // c.denominator)
+    return root
+
+
+def _from_nested(x, order: Sequence[int], nvars: int, scale: int) -> Poly:
+    """The ``Poly`` of the nested list x of depth len(order), divided by the
+    positive integer scale; integral coefficients come back as ints."""
+    terms: dict[tuple[int, ...], int | Fraction] = {}
+    exps = [0] * nvars
+    last = len(order) - 1
+
+    def coeff(c: int):
+        return c if scale == 1 else _as_coeff(Fraction(c, scale))
+
+    def walk(node: list, level: int) -> None:
+        var = order[level]
+        for k, c in enumerate(node):
+            if c:
+                exps[var] = k
+                if level == last:
+                    terms[tuple(exps)] = coeff(c)
+                else:
+                    walk(c, level + 1)
+        exps[var] = 0
+
+    if last < 0:
+        if x:
+            terms[tuple(exps)] = coeff(x)
+    else:
+        walk(x, 0)
+    return _adopt(nvars, terms)
 
 
 # -- multivariate gcd (contents, then the subresultant chain) ------------------
@@ -606,14 +662,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # -- resultants and discriminants ----------------------------------------------
 
 
-def _pow_div(base: Poly, num_exp: int, den: Poly, den_exp: int) -> Poly:
-    """base**num_exp / den**den_exp with exact division."""
-    out = base**num_exp
-    if den_exp > 0:
-        out = divexact(out, den**den_exp)
-    return out
-
-
 def resultant(p: Poly, q: Poly, v: int) -> Poly:
     """res_v(p, q) via the subresultant PRS, Sylvester-determinant sign convention.
 
@@ -635,7 +683,11 @@ def _subresultant_prs(p: Poly, q: Poly, v: int) -> tuple[Poly, Poly | None]:
     For p and q of positive degree in v that remainder has the degree in v of
     their gcd, and its primitive part in v is the gcd of their primitive parts
     up to a rational unit (Brown and Traub, JACM 1971).  It is None when the
-    resultant is nonzero or an argument is 0 or free of v.
+    resultant is nonzero or an argument is 0 or free of v.  The chain runs
+    on nested integer lists (:func:`dense._subresultant`): p and q are
+    converted once, v outermost and their denominators cleared, and the
+    resultant comes back divided by what the clearing multiplied it by.  The
+    remainder may differ from the chain over Q by a positive rational factor.
     """
     if p.is_zero() or q.is_zero():
         return Poly.zero(p.nvars), None
@@ -644,33 +696,13 @@ def _subresultant_prs(p: Poly, q: Poly, v: int) -> tuple[Poly, Poly | None]:
         return q**dp, None
     if dp == 0:
         return p**dq, None
-    sign = 1
-    if dp < dq:
-        p, q = q, p
-        dp, dq = dq, dp
-        if dp * dq % 2 == 1:
-            sign = -sign
-    a, b = p, q
-    g = Poly.one(p.nvars)
-    h = Poly.one(p.nvars)
-    while True:
-        checkpoint()
-        da, db = a.degree(v), b.degree(v)
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = prem(a, b, v)
-        a = b
-        if r.is_zero():
-            return Poly.zero(p.nvars), a
-        b = divexact(r, g * h**delta)
-        g = a.leading_coeff(v)
-        h = _pow_div(g, delta, h, delta - 1) if delta >= 1 else h
-        if b.degree(v) == 0:
-            break
-    da = a.degree(v)
-    res = _pow_div(b, da, h, da - 1)
-    return (res if sign > 0 else -res), None
+    order = _nesting_order(p, q, v)
+    lp, lq = _clearing_scale(p), _clearing_scale(q)
+    res, last = _subresultant(_nested(p, order, lp), _nested(q, order, lq), len(order))
+    if last is not None:
+        return Poly.zero(p.nvars), _from_nested(last, order, p.nvars, 1)
+    # res(lp * p, lq * q) = lp**dq * lq**dp * res(p, q)
+    return _from_nested(res, order[1:], p.nvars, lp**dq * lq**dp), None
 
 
 def discriminant(p: Poly, v: int) -> Poly:

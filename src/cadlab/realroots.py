@@ -4,15 +4,21 @@ Univariate polynomials over Q are isolated with Descartes'-rule bisection on
 the square-free part; every real root comes back as an :class:`AlgebraicNumber`
 (integer square-free defining polynomial plus an open isolating interval with
 rational non-root endpoints).  Rational roots found exactly are stored with the
-degenerate linear encoding ``den*v - num``.
+degenerate linear encoding ``den*v - num``.  Each bisection interval carries
+its local polynomial, the working polynomial with the interval mapped onto
+(0, 1), and a child's comes from its parent's by scaling with powers of 2
+and, for the right half, a Taylor shift by 1; the test itself is one more
+shift by 1.  A midpoint that is a root is divided out of every carried local
+polynomial.
 
 Root sets are plain tuples, strictly increasing with pairwise-disjoint
 intervals.  :func:`isolate_real_roots`, :func:`merge_distinct` and the
 lifting stacks all go through one pass, ``_merge_roots``, that sorts by
 :func:`compare`, merges equal roots (keeping a rational encoding) and refines
-neighbours apart.  Two rational encodings compare by cross-multiplying; an
-all-rational set sorts by its values over one common denominator, and two
-rational neighbours jump to the interval the halving rounds would reach.
+neighbours apart, taking the copies a comparison already refined apart.
+Two rational encodings compare by cross-multiplying; an all-rational set
+sorts by its values over one common denominator, and two rational
+neighbours jump to the interval the halving rounds would reach.
 
 Inside this module a univariate polynomial is a dense list of ``int``
 coefficients, low to high, with content 1 (a positive rational multiple of the
@@ -82,41 +88,75 @@ def _taylor_shift(c: list, a) -> list:
     n = len(out)
     if a == 0:
         return out
+    if a == 1:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += out[j + 1]
+        return out
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             out[j] += a * out[j + 1]
     return out
 
 
-def _descartes_count(c: Sequence[int], a: Fraction, b: Fraction) -> int:
-    """Sign-variation bound on the number of roots of c in the open (a, b).
+def _on_interval(c: Sequence[int], a: Fraction, b: Fraction) -> list[int]:
+    """The local polynomial of c on (a, b): integer coefficients of a positive
+    multiple of c(a + (b - a) * x), whose roots in (0, 1) are c's in (a, b).
 
-    Transforms (a, b) onto (0, oo) via shift, scale, reverse, shift-by-one,
-    entirely over the integers (endpoints are cleared to a common denominator
-    first).  Exact for counts 0 and 1, parity-exact always.
+    The endpoints are cleared to a common denominator first, so every step
+    (scale, shift, scale) runs over the integers.
     """
     a, b = Fraction(a), Fraction(b)
     den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
     u = a.numerator * (den // a.denominator)
-    v = b.numerator * (den // b.denominator)
+    w = b.numerator * (den // b.denominator) - u
     n = len(c) - 1
-    # den^n * p(x / den) has integer coefficients; shifting by the integer u
-    # then evaluates p on (x + u)/den
+    # den^n * c(x / den) has integer coefficients; shifting by the integer u
+    # then evaluates c on (x + u)/den
     q = _taylor_shift([c[i] * den ** (n - i) for i in range(n + 1)], u)
-    w = v - u
     scale = 1
     for i in range(1, len(q)):
         scale *= w
-        q[i] *= scale  # p((w*x + u)/den)
-    q.reverse()  # x^n p((w/x + u)/den)
-    t = _taylor_shift(q, 1)  # (x+1)^n p((u + w/(x+1))/den)
-    return _variations(t)
+        q[i] *= scale  # c((w*x + u)/den)
+    return q
+
+
+def _local_count(local: list[int]) -> int:
+    """Sign-variation bound on the number of roots of a local polynomial in
+    (0, 1): the variations of (x+1)^n local(1/(x+1)).  Exact for counts 0
+    and 1, parity-exact always."""
+    return _variations(_taylor_shift(local[::-1], 1))
+
+
+def _descartes_count(c: Sequence[int], a: Fraction, b: Fraction) -> int:
+    """Sign-variation bound on the number of roots of c in the open (a, b)."""
+    return _local_count(_on_interval(c, a, b))
 
 
 def _root_bound(c: Sequence[int]) -> Fraction:
     """Cauchy bound: every real root has absolute value strictly below it."""
     m = max((abs(x) for x in c[:-1]), default=0)
     return Fraction(1 - (-m // abs(c[-1])))  # ceil(1 + m / |lc|)
+
+
+def _halves(local: list[int]) -> tuple[list[int], list[int]]:
+    """The local polynomials of the two halves of local's interval:
+    2^n * local(x / 2) and 2^n * local((x + 1) / 2), for n its degree."""
+    n = len(local) - 1
+    left = [c << (n - i) for i, c in enumerate(local)]
+    return left, _taylor_shift(left, 1)
+
+
+def _local_root(a: Fraction, b: Fraction, m: Fraction) -> list[int]:
+    """The primitive linear factor, positive lead, that the root m of a
+    polynomial puts into its local polynomial on (a, b): a positive multiple
+    of den(m) * (a + (b - a) * x) - num(m)."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    mn, md = m.numerator, m.denominator
+    c0 = md * an * bd - mn * ad * bd
+    c1 = md * (bn * ad - an * bd)
+    g = math.gcd(c0, c1)
+    return [c0 // g, c1 // g]
 
 
 _TRIAL_CAP = 20000
@@ -288,36 +328,45 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
     most one root in the interval overlap, so an odd variation count there
     certifies equality without algebraic-number arithmetic.
     """
+    return _compare(a, b)[0]
+
+
+def _compare(
+    a: AlgebraicNumber, b: AlgebraicNumber
+) -> tuple[int, AlgebraicNumber, AlgebraicNumber] | tuple[int, None, None]:
+    """:func:`compare`, plus a and b after the common ``refine_step`` rounds
+    that separated them, when a refinement loop or disjoint intervals
+    decided it; (c, None, None) when equality or rational values did."""
     if a.is_rational and b.is_rational:
         (an, ad), (bn, bd) = _num_den(a.coeffs), _num_den(b.coeffs)
         x, y = an * bd, bn * ad
-        return (x > y) - (x < y)
+        return (x > y) - (x < y), None, None
     if a.hi <= b.lo:
-        return -1
+        return -1, a, b
     if b.hi <= a.lo:
-        return 1
+        return 1, a, b
     if a.is_rational:
         q = a.rational_value
         if b.lo < q < b.hi and _sign_at(b.coeffs, q) == 0:
-            return 0
+            return 0, None, None
     elif b.is_rational:
         q = b.rational_value
         if a.lo < q < a.hi and _sign_at(a.coeffs, q) == 0:
-            return 0
+            return 0, None, None
     else:
         g = list(a.coeffs) if a.coeffs == b.coeffs else _uni_gcd(a.coeffs, b.coeffs)
         if len(g) > 1:
             lo = max(a.lo, b.lo)
             hi = min(a.hi, b.hi)
             if lo < hi and _descartes_count(g, lo, hi) % 2 == 1:
-                return 0
+                return 0, None, None
     x, y = a, b
     while True:
         checkpoint()
         if x.hi <= y.lo:
-            return -1
+            return -1, x, y
         if y.hi <= x.lo:
-            return 1
+            return 1, x, y
         x = x.refine_step()
         y = y.refine_step()
 
@@ -346,11 +395,11 @@ def isolate_real_roots(p: Poly, v: int) -> tuple[AlgebraicNumber, ...]:
     found = [AlgebraicNumber.from_rational(r) for r in rats]
     if len(poly) > 1:
         bound = _root_bound(poly)
-        stack = [(-bound, bound)]
+        stack =[(-bound, bound, _on_interval(poly, -bound, bound))]
         while stack:
             checkpoint()
-            a, b = stack.pop()
-            n = _descartes_count(poly, a, b)
+            a, b, local = stack.pop()
+            n = _local_count(local)
             if n == 0:
                 continue
             if n == 1:
@@ -358,12 +407,16 @@ def isolate_real_roots(p: Poly, v: int) -> tuple[AlgebraicNumber, ...]:
                 found.append(AlgebraicNumber(tuple(poly), a, b))
                 continue
             m = _midpoint(a, b)
-            if _sign_at(poly, m) == 0:
-                # exact rational root hit mid-bisection; divide it out
+            left, right = _halves(local)
+            if right[0] == 0:
+                # exact rational root hit mid-bisection (local(1/2) = 0):
+                # divide it out of poly and of every carried local polynomial
                 found.append(AlgebraicNumber.from_rational(m))
                 poly = _div_exact(poly, [-m.numerator, m.denominator])
-            stack.append((a, m))
-            stack.append((m, b))
+                stack = [(lo, hi, _div_exact(q, _local_root(lo, hi, m))) for lo, hi, q in stack]
+                left, right = _halves(_div_exact(local, [-1, 2]))
+            stack.append((a, m, left))
+            stack.append((m, b, right))
     return _merge_roots((r, None) for r in found)[0]
 
 
@@ -386,14 +439,15 @@ def _merge_roots(
     is compared at most once per call.
     """
     tagged = list(tagged)
-    known: dict[tuple[int, int], int] = {}
+    # (i, j) -> compare's answer, and tagged i and j as compare separated them
+    known: dict[tuple[int, int], tuple] = {}
 
     def cmp(i: int, j: int) -> int:
         c = known.get((i, j))
         if c is None:
-            c = known[i, j] = compare(tagged[i][0], tagged[j][0])
-            known[j, i] = -c
-        return c
+            c = known[i, j] = _compare(tagged[i][0], tagged[j][0])
+            known[j, i] = (-c[0], c[2], c[1])
+        return c[0]
 
     if all(r.is_rational for r, _ in tagged):
         pairs = [_num_den(r.coeffs) for r, _ in tagged]
@@ -404,22 +458,28 @@ def _merge_roots(
         order = sorted(range(len(tagged)), key=cmp_to_key(cmp))
     roots: list[AlgebraicNumber] = []
     tags: list[set] = []
-    last = -1  # the index of roots[-1] in tagged
+    picked: list[int] = []  # the index in tagged of each root
     for i in order:
         r, tag = tagged[i]
-        if roots and cmp(last, i) == 0:
+        if roots and cmp(picked[-1], i) == 0:
             tags[-1].add(tag)
             if r.is_rational and not roots[-1].is_rational:
-                roots[-1], last = r, i
+                roots[-1], picked[-1] = r, i
             continue
         roots.append(r)
         tags.append({tag})
-        last = i
-    # refine neighbours until their intervals are disjoint
+        picked.append(i)
+    # refine neighbours until their intervals are disjoint; where the dedupe
+    # pass compared a pair by refining it apart and the left root is
+    # unrefined since, the comparison's copies are taken
     for i in range(len(roots) - 1):
         a, b = roots[i], roots[i + 1]
         if a.hi > b.lo and a.is_rational and b.is_rational:
             roots[i], roots[i + 1] = _separated(a, b)
+            continue
+        _, x, y = known.get((picked[i], picked[i + 1]), (0, None, None))
+        if x is not None and a is tagged[picked[i]][0]:
+            roots[i], roots[i + 1] = x, y
             continue
         while roots[i].hi > roots[i + 1].lo:
             roots[i] = roots[i].refine_step()

@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cadlab.dense import _subresultant
+from cadlab.errors import ComputeTimeout, Deadline, scoped_deadline
 from cadlab.polys import (
     DegreeStats,
     Poly,
+    _nested,
+    _nesting_order,
+    _resultant_any,
+    _subresultant_prs,
     content_in,
     degree_stats,
     discriminant,
     divexact,
     poly_gcd,
+    prem,
+    primitive_part_in,
     resultant,
     squarefree_part,
     squarefree_primitive_basis,
@@ -690,3 +700,201 @@ def test_discriminant_sympy_oracle_seeded(nvars):
         if done % 2:
             assert ours.is_zero(), p
         done += 1
+
+
+# -- the subresultant chain on nested integer lists ---------------------------------
+
+
+def _reference_prem(p: Poly, q: Poly, v: int) -> Poly:
+    """The pseudo-remainder on ``Poly`` arithmetic, one leading term at a time."""
+    dq = q.degree(v)
+    lc = q.leading_coeff(v)
+    x = Poly.var(p.nvars, v)
+    rem = p
+    steps = p.degree(v) - dq + 1
+    while not rem.is_zero() and rem.degree(v) >= dq:
+        dr = rem.degree(v)
+        rem = rem * lc - rem.coeff_of_power(v, dr) * x ** (dr - dq) * q
+        steps -= 1
+    return rem * lc**steps if steps > 0 else rem
+
+
+def _reference_chain(p: Poly, q: Poly, v: int):
+    """(res, last): the subresultant PRS on ``Poly`` arithmetic over Q."""
+    if p.is_zero() or q.is_zero():
+        return Poly.zero(p.nvars), None
+    dp, dq = p.degree(v), q.degree(v)
+    if dq == 0:
+        return q**dp, None
+    if dp == 0:
+        return p**dq, None
+    sign = 1
+    if dp < dq:
+        p, q = q, p
+        sign = -1 if dp * dq % 2 == 1 else 1
+    a, b = p, q
+    g = h = Poly.one(p.nvars)
+    while True:
+        da, db = a.degree(v), b.degree(v)
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -sign
+        r = _reference_prem(a, b, v)
+        a = b
+        if r.is_zero():
+            return Poly.zero(p.nvars), a
+        b = divexact(r, g * h**delta)
+        g = a.leading_coeff(v)
+        if delta >= 1:
+            h = divexact(g**delta, h ** (delta - 1))
+        if b.degree(v) == 0:
+            break
+    da = a.degree(v)
+    res = divexact(b**da, h ** (da - 1))
+    return (res if sign > 0 else -res), None
+
+
+def _rational_poly(rng: random.Random, nvars: int, v: int, deg: int, fractions: bool) -> Poly:
+    """A random polynomial of degree deg in v, with a leading coefficient of
+    either sign and, when asked, ``Fraction`` coefficients."""
+    def coeff():
+        c = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+        return Fraction(c, rng.choice([1, 2, 3, 4, 7])) if fractions else c
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = [rng.randint(0, 2 if nvars < 4 else 1) for _ in range(nvars)]
+        e[v] = rng.randint(0, deg)
+        terms[tuple(e)] = coeff()
+    e = [rng.randint(0, 1) for _ in range(nvars)]
+    e[v] = deg
+    terms[tuple(e)] = coeff()
+    return Poly(nvars, terms)
+
+
+def _gcd_part(last, v):
+    return None if last is None else primitive_part_in(last, v).normalized()
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_chain_matches_the_poly_level_reference_seeded(nvars):
+    # Fraction coefficients, negative leads, degree-0 arguments and planted
+    # common factors (zero resultants); the remainder a zero resultant
+    # leaves may differ by a positive rational factor, so it is compared by
+    # its normalized primitive part
+    rng = random.Random(2800 + nvars)
+    v = rng.randrange(nvars)
+    top = {1: 4, 2: 4, 3: 3, 4: 2}[nvars]
+    zeros = degree_zero = 0
+    for k in range(60 if nvars < 4 else 40):
+        fractions = k % 3 == 0
+        p = _rational_poly(rng, nvars, v, 0 if k % 5 == 0 else rng.randint(1, top), fractions)
+        q = _rational_poly(rng, nvars, v, rng.randint(1, min(top, 3)), not fractions and k % 2 == 0)
+        if k % 4 == 1:
+            c = _rational_poly(rng, nvars, v, rng.randint(1, top // 2), k % 8 == 1)
+            p, q = p * c, q * c
+        if k % 2:
+            p, q = q, p
+        ours, ref = _subresultant_prs(p, q, v), _reference_chain(p, q, v)
+        assert _typed(ours[0]) == _typed(ref[0]), (p, q)
+        assert _gcd_part(ours[1], v) == _gcd_part(ref[1], v), (p, q)
+        zeros += ref[1] is not None
+        degree_zero += p.degree(v) == 0 or q.degree(v) == 0
+    assert zeros >= 10 and degree_zero >= 3
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_prem_matches_the_poly_level_reference_seeded(nvars):
+    rng = random.Random(2810 + nvars)
+    for k in range(40):
+        v = rng.randrange(nvars)
+        p = _rational_poly(rng, nvars, v, rng.randint(0, 5), k % 2 == 0)
+        q = _rational_poly(rng, nvars, v, rng.randint(1, 3), k % 3 == 0)
+        assert _typed(prem(p, q, v)) == _typed(_reference_prem(p, q, v)), (p, q)
+
+
+# res, disc and prem values, terms and coefficient types, recorded with the
+# chain on ``Poly`` arithmetic: (kind, p, q, v, expected terms)
+CHAIN_PINS = {
+    "fractions_three_vars": (
+        "res",
+        Poly(3, {(1, 0, 2): F(3, 2), (0, 1, 1): F(-1, 3), (0, 0, 0): F(5, 7)}),
+        Poly(3, {(0, 0, 3): F(-2, 5), (1, 1, 0): 1, (0, 0, 1): F(-1, 4), (0, 0, 0): 2}), 2,
+        {(0, 0, 0): F(20, 343), (0, 2, 0): F(1, 126), (0, 3, 0): F(-4, 135),
+         (1, 0, 0): F(-15, 98), (1, 1, 0): F(6, 7), (1, 4, 0): F(-2, 135), (2, 0, 0): F(45, 448),
+         (2, 1, 0): F(-3, 8), (2, 2, 0): F(3, 7), (3, 0, 0): F(27, 2), (3, 2, 0): F(-3, 16),
+         (4, 1, 0): F(27, 2), (5, 2, 0): F(27, 8)},
+    ),
+    "negative_leads_swapped": (
+        "res",
+        Poly(2, {(0, 1): -3, (1, 0): 2, (0, 0): -1}),
+        Poly(2, {(0, 3): -2, (2, 1): 1, (1, 0): -5, (0, 0): 4}), 1,
+        {(0, 0): -110, (1, 0): 147, (2, 0): -15, (3, 0): -2},
+    ),
+    "degree_zero_argument": (
+        "res",
+        Poly(2, {(1, 2): F(-1, 2), (0, 1): 3, (0, 0): 1}),
+        Poly(2, {(1, 0): F(2, 3), (0, 0): F(-1, 5)}), 1,
+        {(0, 0): F(1, 25), (1, 0): F(-4, 15), (2, 0): F(4, 9)},
+    ),
+    "four_vars": (
+        "res",
+        Poly(4, {(1, 0, 0, 2): 2, (0, 1, 1, 1): -1, (0, 0, 0, 0): 3, (0, 0, 2, 0): 1}),
+        Poly(4, {(0, 0, 0, 2): -1, (1, 1, 0, 1): 4, (0, 0, 1, 0): -2, (1, 0, 0, 0): 1}), 3,
+        {(0, 0, 0, 0): 9, (0, 0, 2, 0): 6, (0, 0, 4, 0): 1, (0, 2, 3, 0): 2, (1, 0, 1, 0): -24,
+         (1, 0, 3, 0): -8, (1, 2, 1, 0): -12, (1, 2, 2, 0): -1, (1, 2, 3, 0): -4, (2, 0, 0, 0): 12,
+         (2, 0, 2, 0): 20, (2, 2, 2, 0): -16, (3, 0, 1, 0): -16, (3, 2, 0, 0): 96, (3, 2, 1, 0): 8,
+         (3, 2, 2, 0): 32, (4, 0, 0, 0): 4},
+    ),
+    "discriminant_fractions": (
+        "disc",
+        Poly(2, {(0, 3): F(-3, 4), (1, 1): F(2, 3), (2, 0): 1, (0, 0): F(-1, 2)}), None, 1,
+        {(0, 0): F(-243, 64), (2, 0): F(243, 16), (3, 0): F(8, 9), (4, 0): F(-243, 16)},
+    ),
+    "discriminant_three_vars": (
+        "disc",
+        Poly(3, {(0, 0, 4): 1, (1, 0, 2): -3, (0, 1, 1): 2, (1, 1, 0): -1}), None, 2,
+        {(0, 4, 0): -432, (2, 3, 0): 1728, (3, 2, 0): 432, (3, 3, 0): -256, (4, 2, 0): -1152,
+         (5, 1, 0): -1296},
+    ),
+    "prem_fractions": (
+        "prem",
+        Poly(2, {(0, 4): F(1, 3), (1, 2): -2, (0, 0): F(5, 2)}),
+        Poly(2, {(1, 2): F(-2, 3), (0, 1): 1, (0, 0): 4}), 1,
+        {(0, 0): F(-4, 3), (0, 1): F(-1, 3), (1, 0): F(-32, 9), (1, 1): F(-16, 9),
+         (3, 0): F(76, 27), (3, 1): F(8, 9)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PINS))
+def test_chain_values_are_pinned(name):
+    kind, p, q, v, expected = CHAIN_PINS[name]
+    got = {"res": lambda: _resultant_any(p, q, v), "disc": lambda: discriminant(p, v),
+           "prem": lambda: prem(p, q, v)}[kind]()
+    assert _typed(got) == {e: (type(c).__name__, c) for e, c in expected.items()}
+
+
+def _dense_trivariate(rng: random.Random, n: int) -> Poly:
+    """Every monomial of degree <= n in each of three variables, nonzero coefficients."""
+    return Poly(3, {e: rng.choice([-9, -5, -2, -1, 1, 3, 4, 8])
+                    for e in itertools.product(range(n + 1), repeat=3)})
+
+
+class TestDenseChainDeadline:
+    # the chain of two such degree-5 trivariate polynomials takes seconds
+    rng = random.Random(2820)
+    P5, Q5 = _dense_trivariate(rng, 5), _dense_trivariate(rng, 5)
+
+    def test_expired_deadline_raises(self):
+        order = _nesting_order(self.P5, self.Q5, 2)
+        a, b = _nested(self.P5, order, 1), _nested(self.Q5, order, 1)
+        with scoped_deadline(Deadline(time.monotonic() - 1.0)):
+            with pytest.raises(ComputeTimeout):
+                _subresultant(a, b, len(order))
+
+    def test_deadline_stops_the_chain_midway(self):
+        start = time.monotonic()
+        with pytest.raises(ComputeTimeout):
+            with scoped_deadline(Deadline.after_ms(100)):
+                resultant(self.P5, self.Q5, 2)
+        assert time.monotonic() - start < 1.0

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 from cadlab.algpoints import sign_at_point
 from cadlab.polys import Poly
-from cadlab.dense import _div_exact
+from cadlab.dense import _deriv, _div_exact, _uni_gcd, dense_from_poly
 from cadlab.realroots import (
     _TRIAL_CAP,
     AlgebraicNumber,
+    _descartes_count,
     _merge_roots,
+    _midpoint,
     _rational_roots,
+    _root_bound,
     _sign_at,
     _small_divisors,
     compare,
@@ -170,6 +173,24 @@ class TestRationalRootSets:
             roots, tags = _merge_roots(tagged)
             ref_roots, ref_tags = _reference_merge(tagged)
             assert _exact(roots) == _exact(ref_roots) and tags == ref_tags
+
+
+    def test_separated_neighbours_are_not_refined_twice(self, monkeypatch):
+        # sorting compares sqrt(2) with sqrt(2.0001) by refining both apart;
+        # the merge takes those copies instead of refining the originals again
+        a = AlgebraicNumber((-2, 0, 1), Fraction(1), Fraction(2))
+        b = AlgebraicNumber((-20001, 0, 10000), Fraction(1), Fraction(2))
+        expected = _exact(_reference_merge([(b, 1), (a, 0)])[0])
+        steps = []
+        inner = AlgebraicNumber.refine_step
+        monkeypatch.setattr(AlgebraicNumber, "refine_step",
+                            lambda self: steps.append(self) or inner(self))
+        assert compare(a, b) == -1
+        by_compare = len(steps)
+        steps.clear()
+        roots, tags = _merge_roots([(b, 1), (a, 0)])
+        assert _exact(roots) == expected and tags == [{0}, {1}]
+        assert len(steps) == by_compare > 0
 
 
 class TestCompare:
@@ -388,6 +409,106 @@ class TestRationalRootSearch:
                 cofactor[0] = 1
             c = _planted(sorted(roots), cofactor)
             assert _typed_search(_rational_roots(c)) == _typed_search(_reference_rational_roots(c)), c
+
+
+def _reference_isolate(c):
+    """isolate_real_roots on the list c, with each interval's Descartes test
+    rebuilt from its endpoints: the (coeffs, lo, hi) of every root, and how
+    many bisection midpoints were exact roots."""
+    c = dense_from_poly(U(c), 0)
+    c = [-x for x in c] if c[-1] < 0 else c
+    g = _uni_gcd(c, _deriv(c))
+    if len(g) > 1:
+        c = _div_exact(c, g)
+    rats, poly = _rational_roots(c)
+    found = [AlgebraicNumber.from_rational(r) for r in rats]
+    hits = 0
+    if len(poly) > 1:
+        bound = _root_bound(poly)
+        stack = [(-bound, bound)]
+        while stack:
+            a, b = stack.pop()
+            n = _descartes_count(poly, a, b)
+            if n == 1:
+                found.append(AlgebraicNumber(tuple(poly), a, b))
+            if n < 2:
+                continue
+            m = _midpoint(a, b)
+            if _sign_at(poly, m) == 0:
+                hits += 1
+                found.append(AlgebraicNumber.from_rational(m))
+                poly = _div_exact(poly, [-m.numerator, m.denominator])
+            stack += [(a, m), (m, b)]
+    return _exact(merge_distinct(found)), hits
+
+
+# the rational-root search is skipped (a coefficient past _TRIAL_CAP**2), and
+# the bisection meets dyadic roots as midpoints of intervals holding two roots
+DYADIC = [
+    _planted([1, F(3, 2)], [1, 0, 400000009]),
+    _planted([1, F(3, 2), F(5, 4)], [1, 0, 400000009]),
+    _planted([F(-1, 2), F(1, 2), 1], [3, 0, 400000009]),
+    # here the children of the hit interval bisect on: their local polynomials
+    # must lose the root too
+    _planted([-2, F(-1, 4), 0, 3], [21, 12, 400000009]),
+    # and so must those of the intervals still on the stack: near the pair
+    # (-17 +- 36i)/64, the count on one of them changes with the factor
+    _planted([F(-25, 32), F(1, 2), F(13, 22)],
+             [1585 * 400000009, 2176 * 400000009 - 1585, 5681 * 400000009 - 2176,
+              2176 * 400000009 - 4096, 4096 * 400000009]),
+]
+# close irrational roots: sqrt(2) and sqrt(2 + 10^-6); Mignotte's x^8 - 2(50x - 1)^2;
+# and the roots 1/1000 .. 5/1000 past the capped search
+CLUSTERED = [
+    [4000002, 0, -4000001, 0, 1000000],
+    [-2, 200, -5000, 0, 0, 0, 0, 0, 1],
+    _planted([F(k, 1000) for k in range(1, 6)], [400000009]),
+]
+# a degree-18 eliminant with 103-bit coefficients, from lifting at an
+# algebraic sample (task 22 of the ec3d benchmark corpus)
+ELIMINANT = [
+    -216887262927712224940300298472, 1329416483364015725107884316248,
+    -8043591801518956072020908323620, -3220873793016973934487031321371,
+    -1242296425267726950310030568208, -217749383592343467727490208252,
+    -59081530420792261264873054743, -10073902848643949649080405652,
+    -1984385282322720071517754500, -33673564240195912156190682, 27015308116458776198195580,
+    7568266404278444062598316, 475813830934963168094286, 13955091159153091615500,
+    200708324638330592664, 1553602442125216133, 6666091594814148, 14996046018912, 13841287201,
+]
+
+
+class TestCarriedBisection:
+    """Each interval's local polynomial comes from its parent's; the roots and
+    intervals are those of rebuilding each test from the interval's endpoints."""
+
+    @pytest.mark.parametrize("c", DYADIC)
+    def test_dyadic_midpoint_roots(self, c):
+        expected, hits = _reference_isolate(c)
+        assert hits >= 1
+        roots = isolate_real_roots(U(c), 0)
+        assert _exact(roots) == expected
+        assert sum(r.is_rational for r in roots) >= hits
+
+    @pytest.mark.parametrize("c", CLUSTERED)
+    def test_clustered_roots(self, c):
+        expected, _ = _reference_isolate(c)
+        assert len(expected) >= 2
+        assert _exact(isolate_real_roots(U(c), 0)) == expected
+
+    def test_big_coefficient_eliminant(self):
+        expected, _ = _reference_isolate(ELIMINANT)
+        assert len(expected) == 2
+        assert _exact(isolate_real_roots(U(ELIMINANT), 0)) == expected
+
+    def test_seeded_random_inputs(self):
+        rng = random.Random(2830)
+        for _ in range(150):
+            c = [rng.randint(-40, 40) for _ in range(rng.randint(3, 12))]
+            if rng.random() < 0.3:
+                c = _planted([F(rng.randint(-9, 9), rng.choice([1, 2, 4, 8]))], c)
+            if not any(c[1:]):
+                continue
+            assert _exact(isolate_real_roots(U(c), 0)) == _reference_isolate(c)[0], c
 
 
 class TestCount:
