@@ -172,7 +172,8 @@ def _pow(a, k: int, d: int):
 
 
 def _div_exact(a, b, d: int = 1):
-    """Quotient a / b of depth-d lists; b must divide a.
+    """Quotient a / b of depth-d lists; raises ArithmeticError when b does
+    not divide a.
 
     At depth 1 the quotient is integral whenever b is primitive (Gauss's
     lemma), which holds for every univariate divisor here: gcds, and
@@ -181,7 +182,8 @@ def _div_exact(a, b, d: int = 1):
     """
     if d == 0:
         q, r = divmod(a, b)
-        assert not r, "inexact dense division"
+        if r:
+            raise ArithmeticError("inexact polynomial division")
         return q
     db = len(b) - 1
     if db == 0:
@@ -202,7 +204,8 @@ def _div_exact(a, b, d: int = 1):
             if k:
                 for j in range(db + 1):
                     r[i + j] = _sub(r[i + j], _mul(k, b[j], e), e)
-    assert not any(r), "inexact dense division"
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
     return out
 
 

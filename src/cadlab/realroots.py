@@ -16,9 +16,9 @@ intervals.  :func:`isolate_real_roots`, :func:`merge_distinct` and the
 lifting stacks all go through one pass, ``_merge_roots``, that sorts by
 :func:`compare`, merges equal roots (keeping a rational encoding) and refines
 neighbours apart, taking the copies a comparison already refined apart.
-Two rational encodings compare by cross-multiplying; an all-rational set
-sorts by its values over one common denominator, and two rational
-neighbours jump to the interval the halving rounds would reach.
+Two rational encodings compare by cross-multiplying, and overlapping
+rational neighbours are refined apart by the same halving rounds as any
+other pair.
 
 Inside this module a univariate polynomial is a dense list of ``int``
 coefficients, low to high, with content 1 (a positive rational multiple of the
@@ -265,11 +265,11 @@ class AlgebraicNumber:
     def refine_step(self) -> AlgebraicNumber:
         """Halve the isolating interval (exact bisection on the defining poly)."""
         if self.is_rational:
-            return _centred(self.coeffs, self, 1)
+            return _centred(self.coeffs, self)
         mid = _midpoint(self.lo, self.hi)
         sm = _sign_at(self.coeffs, mid)
         if sm == 0:
-            return _centred((-mid.numerator, mid.denominator), self, 1)
+            return _centred((-mid.numerator, mid.denominator), self)
         if (sm > 0) == (_sign_at(self.coeffs, self.lo) > 0):
             return AlgebraicNumber(self.coeffs, mid, self.hi)
         return AlgebraicNumber(self.coeffs, self.lo, mid)
@@ -307,16 +307,15 @@ def _midpoint(a: Fraction, b: Fraction) -> Fraction:
                     2 * a.denominator * b.denominator)
 
 
-def _centred(coeffs: tuple[int, ...], a: AlgebraicNumber, steps: int) -> AlgebraicNumber:
-    """The root q of the linear ``coeffs`` in (q - h, q + h), h = w / 2**(steps + 1)
-    for w the width of a's interval: where ``steps`` calls of ``refine_step``
-    on a rational encoding of q in a's interval end."""
+def _centred(coeffs: tuple[int, ...], a: AlgebraicNumber) -> AlgebraicNumber:
+    """The root q of the linear ``coeffs`` in (q - w/4, q + w/4), for w the
+    width of a's interval: one halving of a's interval, centred on q."""
     num, den = _num_den(coeffs)
     lo, hi = a.lo, a.hi
-    # w = wn / wd, and h = wn / scale
+    # w = wn / wd, and w/4 = wn / scale
     wd = lo.denominator * hi.denominator
     wn = hi.numerator * lo.denominator - lo.numerator * hi.denominator
-    scale = wd << (steps + 1)
+    scale = wd << 2
     return AlgebraicNumber(coeffs, Fraction(num * scale - den * wn, den * scale),
                            Fraction(num * scale + den * wn, den * scale))
 
@@ -433,10 +432,9 @@ def _merge_roots(
     Takes (root, tag) pairs and returns the distinct roots, strictly
     increasing with pairwise-disjoint intervals, plus the set of tags of each.
     Equal roots keep the first rational encoding among them, else the first
-    one, in input order.  An all-rational set sorts by its values over one
-    common denominator, and two rational neighbours are separated by the
-    number of halvings that ``refine_step`` rounds would take.  Each pair
-    is compared at most once per call.
+    one, in input order.  Every set sorts by :func:`compare` and every pair
+    of overlapping neighbours is refined apart by common ``refine_step``
+    rounds.  Each pair is compared at most once per call.
     """
     tagged = list(tagged)
     # (i, j) -> compare's answer, and tagged i and j as compare separated them
@@ -449,13 +447,7 @@ def _merge_roots(
             known[j, i] = (-c[0], c[2], c[1])
         return c[0]
 
-    if all(r.is_rational for r, _ in tagged):
-        pairs = [_num_den(r.coeffs) for r, _ in tagged]
-        den = math.lcm(*(d for _, d in pairs))
-        values = [n * (den // d) for n, d in pairs]
-        order = sorted(range(len(tagged)), key=values.__getitem__)
-    else:
-        order = sorted(range(len(tagged)), key=cmp_to_key(cmp))
+    order = sorted(range(len(tagged)), key=cmp_to_key(cmp))
     roots: list[AlgebraicNumber] = []
     tags: list[set] = []
     picked: list[int] = []  # the index in tagged of each root
@@ -473,34 +465,14 @@ def _merge_roots(
     # pass compared a pair by refining it apart and the left root is
     # unrefined since, the comparison's copies are taken
     for i in range(len(roots) - 1):
-        a, b = roots[i], roots[i + 1]
-        if a.hi > b.lo and a.is_rational and b.is_rational:
-            roots[i], roots[i + 1] = _separated(a, b)
-            continue
         _, x, y = known.get((picked[i], picked[i + 1]), (0, None, None))
-        if x is not None and a is tagged[picked[i]][0]:
+        if x is not None and roots[i] is tagged[picked[i]][0]:
             roots[i], roots[i + 1] = x, y
             continue
         while roots[i].hi > roots[i + 1].lo:
             roots[i] = roots[i].refine_step()
             roots[i + 1] = roots[i + 1].refine_step()
     return tuple(roots), tags
-
-
-def _separated(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[AlgebraicNumber, AlgebraicNumber]:
-    """Rational a < b with overlapping intervals, after the fewest common
-    ``refine_step`` rounds that make them disjoint.
-
-    After k >= 1 rounds each sits centred on its value q with half its width
-    w over 2**(k+1), so the rounds end at the least such k with
-    (w_a + w_b) / (q_b - q_a) <= 2**(k+1).
-    """
-    (an, ad), (bn, bd) = _num_den(a.coeffs), _num_den(b.coeffs)
-    ratio = (a.width() + b.width()) / Fraction(bn * ad - an * bd, ad * bd)
-    k = 1
-    while ratio > 2 << k:
-        k += 1
-    return _centred(a.coeffs, a, k), _centred(b.coeffs, b, k)
 
 
 def count_distinct_real_roots(A: Iterable[Poly], v: int) -> int:

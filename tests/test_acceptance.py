@@ -6,12 +6,13 @@ lines; every tolerance here is exact.
 
 from __future__ import annotations
 
+import io
 import shutil
 import time
 from collections import defaultdict
 from pathlib import Path
 
-from cadlab.bench import BenchConfig, run_bench
+from cadlab.bench import BenchConfig, run_bench, write_csv
 from cadlab.cadbuild import build_cad, evaluate_formula_on_cells
 from cadlab.cli import main
 from cadlab.formulas import identify_ecs
@@ -28,6 +29,10 @@ from cadlab.probjson import emit_json
 from cadlab.problem import Problem
 
 CORPUS = Path(__file__).parent.parent / "src" / "cadlab" / "corpus"
+# the criterion-8 corpus's --stable CSVs; after a change that is meant to
+# alter an answer, write the test's report over the file with
+# ``cadlab.bench.write_csv`` and state the change
+GOLDEN_BENCH = Path(__file__).parent / "golden" / "bench"
 XY = VarOrdering((0, 1))
 YX = VarOrdering((1, 0))
 
@@ -187,10 +192,25 @@ def test_criterion_8_no_dominant_heuristic(tmp_path, criterion_8_problems):
             unique_wins[winners[0]] += 1
     heuristics_with_wins = [h for h, n in unique_wins.items() if n >= 1]
     assert len(heuristics_with_wins) >= 2, f"unique wins: {dict(unique_wins)}"
+    assert _csv(report) == (GOLDEN_BENCH / "criterion8.sign.csv").read_text(encoding="utf-8")
     print(
         f"ACCEPTANCE 8 (no dominant heuristic on 200-problem corpus; "
         f"unique wins {dict(sorted(unique_wins.items()))}): PASS"
     )
+
+
+def test_criterion_8_ec_all_orders_csv_is_pinned(tmp_path, criterion_8_problems):
+    corpus = _seeded_corpus(tmp_path, criterion_8_problems)
+    report = run_bench(corpus, BenchConfig(timeout_ms=5000, stable=True, mode="ec",
+                                           all_orders=True))
+    expected = (GOLDEN_BENCH / "criterion8.ec-all-orders.csv").read_text(encoding="utf-8")
+    assert _csv(report) == expected
+
+
+def _csv(report) -> str:
+    out = io.StringIO()
+    write_csv(report, out)
+    return out.getvalue()
 
 
 def test_criterion_9_bench_determinism(tmp_path):

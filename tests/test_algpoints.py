@@ -457,23 +457,6 @@ class TestWorkAtRationalSamples:
         assert sign_at_point(circle, point[:2]) == 0
         assert made == []
 
-    def test_rational_neighbours_separate_without_refine_steps(self, monkeypatch):
-        from cadlab import realroots
-
-        a, b = rat(F(-1, 10)), rat(F(1, 10))
-        # what the halving rounds give: both refined until disjoint
-        x, y = a, b
-        while x.hi > y.lo:
-            x, y = x.refine_step(), y.refine_step()
-        steps = []
-        inner = AlgebraicNumber.refine_step
-        monkeypatch.setattr(AlgebraicNumber, "refine_step",
-                            lambda self: steps.append(self) or inner(self))
-        roots, tags = realroots._merge_roots([(b, "b"), (a, "a")])
-        assert steps == []
-        assert _exact(roots) == _exact([x, y])
-        assert tags == [{"a"}, {"b"}]
-
     def test_zero_certificate_after_thirteen_enclosures(self, monkeypatch):
         from cadlab import algpoints
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadlab.dense import _subresultant
+from cadlab.dense import _div_exact, _subresultant
 from cadlab.errors import ComputeTimeout, Deadline, scoped_deadline
 from cadlab.polys import (
     DegreeStats,
@@ -898,3 +898,14 @@ class TestDenseChainDeadline:
             with scoped_deadline(Deadline.after_ms(100)):
                 resultant(self.P5, self.Q5, 2)
         assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("a, b, d", [
+    ([1, 0, 1], [1, 1], 1),  # x^2 + 1 by x + 1
+    (3, 2, 0),
+    ([[1], [], [1]], [[1], [1]], 2),  # x^2 + 1 by x + 1, one level deeper
+])
+def test_inexact_dense_division_raises(a, b, d):
+    # a check, not an assert, so that it also holds under python -O
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        _div_exact(a, b, d)

@@ -157,7 +157,13 @@ class TestRationalRootSets:
             assert compare(a, AlgebraicNumber.from_rational(q)) == 0
 
     def test_merge_matches_the_round_by_round_reference(self):
+        def encoded(q, k):
+            return AlgebraicNumber((-k * q.numerator, k * q.denominator), q - 1, q + 1)
+
         rng = random.Random(1807)
+        # overlapping rational neighbours, given in descending order
+        cases = [[(AlgebraicNumber.from_rational(Fraction(1, 10)), "b"),
+                  (AlgebraicNumber.from_rational(Fraction(-1, 10)), "a")]]
         for _ in range(300):
             tagged = []
             for tag in range(rng.randint(0, 6)):
@@ -165,11 +171,25 @@ class TestRationalRootSets:
                     r = SQRT2
                 else:
                     q = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7, 1000]))
-                    k = rng.choice([1, 1, 2, -1])
-                    r = AlgebraicNumber((-k * q.numerator, k * q.denominator), q - 1, q + 1)
+                    r = encoded(q, rng.choice([1, 1, 2, -1]))
                 for _ in range(rng.randint(0, 2)):
                     r = r.refine_step()
                 tagged.append((r, tag))
+            cases.append(tagged)
+        # all-rational sets with mixed encodings k*(den*v - num) and duplicates
+        for _ in range(40):
+            n = rng.randint(20, 40)
+            values = [Fraction(rng.randint(-50, 50), rng.randint(1, 1000))
+                      for _ in range(rng.randint(n // 2, n))]
+            values += rng.choices(values, k=n - len(values))
+            tagged = []
+            for tag, q in enumerate(values):
+                r = encoded(q, rng.choice([1, 1, 3, -1, -7]))
+                for _ in range(rng.randint(0, 2)):
+                    r = r.refine_step()
+                tagged.append((r, tag))
+            cases.append(tagged)
+        for tagged in cases:
             roots, tags = _merge_roots(tagged)
             ref_roots, ref_tags = _reference_merge(tagged)
             assert _exact(roots) == _exact(ref_roots) and tags == ref_tags
